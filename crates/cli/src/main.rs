@@ -620,7 +620,9 @@ fn cmd_finetune(args: &Args, run: Option<&cpdg_obs::RunDir>) -> CpdgResult<()> {
         model.num_nodes,
         model.encoder_config.clone(),
     );
-    let copied = store.load_matching(&model.params);
+    let copied = store
+        .load_matching(&model.params)
+        .map_err(|e| CpdgError::corrupt(model_path, e.to_string()))?;
     println!("loaded {copied} parameter tensors from {model_path}");
 
     let strategy = if model.checkpoints.is_empty() && matches!(strategy, FinetuneStrategy::Eie(_)) {
@@ -1274,6 +1276,57 @@ mod tests {
         ));
         let err = cmd_finetune(&args, None).unwrap_err();
         assert!(matches!(err, CpdgError::Corrupt { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn finetune_refuses_a_model_whose_parameter_shape_disagrees_with_its_config() {
+        let dir = std::env::temp_dir().join(format!("cpdg_cli_shape_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let model_path = dir.join("model.cpdg");
+        let data_path = dir.join("data.csv");
+
+        // A 4-node TGN whose first non-square parameter is transposed,
+        // sealed with a valid CRC.
+        let cfg = DgnnConfig::preset(EncoderKind::Tgn, 8, 1.0);
+        let mut built = ParamStore::new();
+        DgnnEncoder::new(
+            &mut built,
+            &mut StdRng::seed_from_u64(0),
+            "enc",
+            4,
+            cfg.clone(),
+        );
+        let mut params = ParamStore::new();
+        let mut swapped = None;
+        for id in built.ids() {
+            let value = built.value(id);
+            if swapped.is_none() && value.rows() != value.cols() {
+                swapped = Some(built.name(id).to_string());
+                params.register(built.name(id), value.transpose());
+            } else {
+                params.register(built.name(id), value.clone());
+            }
+        }
+        ModelFile::new(cfg, 4, params, vec![])
+            .save(&model_path)
+            .unwrap();
+        std::fs::write(
+            &data_path,
+            "user_id,item_id,timestamp,state_label,f\n0,0,1.0,0,0\n1,1,2.0,0,0\n",
+        )
+        .unwrap();
+
+        let args = parse(&format!(
+            "finetune --data {} --model {}",
+            data_path.display(),
+            model_path.display()
+        ));
+        let err = cmd_finetune(&args, None).unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("model.cpdg"), "{msg}");
+        assert!(msg.contains(&swapped.unwrap()), "{msg}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

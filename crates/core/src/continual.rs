@@ -319,10 +319,11 @@ pub struct ContinualTrainer {
 }
 
 impl ContinualTrainer {
-    /// Builds a trainer whose parameters start from `model` (the namespaces
-    /// match the serving engine's, so an emitted candidate hot-loads
-    /// cleanly).
-    pub fn from_model(model: &ModelFile, cfg: ContinualConfig) -> CpdgResult<Self> {
+    /// Builds a trainer whose parameters start from `model`, read from
+    /// `source` (the namespaces match the serving engine's, so an emitted
+    /// candidate hot-loads cleanly). A parameter whose shape disagrees with
+    /// the encoder `model`'s config builds refuses `source` as corrupt.
+    pub fn from_model(model: &ModelFile, source: &Path, cfg: ContinualConfig) -> CpdgResult<Self> {
         cfg.window.validate()?;
         if cfg.batch_cap < 2 {
             return Err(CpdgError::Invalid(format!(
@@ -343,7 +344,9 @@ impl ContinualTrainer {
         // Registers the `pretext_head.*` parameters, so candidate files
         // carry the serving head (this trainer never scores links itself).
         let _head = LinkPredictor::new(&mut store, &mut rng, "pretext_head", encoder.dim());
-        let loaded = store.load_matching(&model.params);
+        let loaded = store
+            .load_matching(&model.params)
+            .map_err(|e| CpdgError::corrupt(source, e.to_string()))?;
         if loaded == 0 && !model.params.is_empty() {
             cpdg_obs::warn!(
                 "continual.trainer",
@@ -569,7 +572,9 @@ pub fn holdout_loss(
         model.encoder_config.clone(),
     );
     let head = LinkPredictor::new(&mut store, &mut rng, "pretext_head", encoder.dim());
-    store.load_matching(&model.params);
+    store
+        .load_matching(&model.params)
+        .map_err(|e| CpdgError::Invalid(format!("model does not fit its config: {e}")))?;
     encoder.reset_state();
     let cfg = TrainConfig {
         batch_size: 128,
@@ -708,6 +713,10 @@ mod tests {
         }
     }
 
+    fn trainer_from(model: &ModelFile, cfg: ContinualConfig) -> ContinualTrainer {
+        ContinualTrainer::from_model(model, Path::new("base.cpdg"), cfg).unwrap()
+    }
+
     #[test]
     fn window_geometry_validates() {
         assert!(WindowConfig::new(10.0, 5.0).is_ok());
@@ -795,7 +804,7 @@ mod tests {
     fn cycle_trains_and_candidate_passes_gate() {
         let model = base_model(3);
         let graph = stream_graph(120);
-        let mut trainer = ContinualTrainer::from_model(&model, trainer_cfg()).unwrap();
+        let mut trainer = trainer_from(&model, trainer_cfg());
         let hook = FaultHook::none();
         let report = trainer.train_cycle(&graph, &hook).unwrap();
         assert!(report.steps > 0, "no contrastive steps ran: {report:?}");
@@ -832,7 +841,7 @@ mod tests {
             seed: 7,
             ..ContinualConfig::default()
         };
-        let mut trainer = ContinualTrainer::from_model(&model, cfg.clone()).unwrap();
+        let mut trainer = trainer_from(&model, cfg.clone());
         let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
         let times: Vec<Timestamp> = graph.events().iter().map(|e| e.t).collect();
         let windows = slice_windows(&times, &cfg.window).unwrap();
@@ -860,7 +869,7 @@ mod tests {
     fn short_streams_are_idle_cycles() {
         let model = base_model(1);
         let graph = stream_graph(8);
-        let mut trainer = ContinualTrainer::from_model(&model, trainer_cfg()).unwrap();
+        let mut trainer = trainer_from(&model, trainer_cfg());
         let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
         assert_eq!(report.steps, 0);
         assert_eq!(trainer.windows_trained(), 0);
@@ -870,7 +879,7 @@ mod tests {
     fn step_fault_aborts_cycle_with_typed_error() {
         let model = base_model(2);
         let graph = stream_graph(120);
-        let mut trainer = ContinualTrainer::from_model(&model, trainer_cfg()).unwrap();
+        let mut trainer = trainer_from(&model, trainer_cfg());
         let plan = FaultPlan::new(0).with(
             FaultPoint::TrainerStep,
             FaultKind::Permanent,
@@ -892,7 +901,7 @@ mod tests {
     #[test]
     fn emit_fault_leaves_no_candidate_file() {
         let model = base_model(4);
-        let trainer = ContinualTrainer::from_model(&model, trainer_cfg()).unwrap();
+        let trainer = trainer_from(&model, trainer_cfg());
         let plan = FaultPlan::new(0).with(
             FaultPoint::TrainerEmit,
             FaultKind::Permanent,
@@ -929,7 +938,7 @@ mod tests {
             },
             ..trainer_cfg()
         };
-        let mut trainer = ContinualTrainer::from_model(&model, cfg).unwrap();
+        let mut trainer = trainer_from(&model, cfg);
         let err = trainer.train_cycle(&graph, &FaultHook::none()).unwrap_err();
         assert!(
             matches!(err, CpdgError::Diverged(_)),

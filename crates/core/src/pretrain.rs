@@ -18,9 +18,9 @@
 //! Resume determinism: instead of one RNG threaded through the whole run,
 //! each batch derives its RNG from `(cfg.seed, global step)`, so a resumed
 //! run samples exactly the negatives/contrast paths the uninterrupted run
-//! would have. Contrast subgraphs are drawn by a [`BatchSampler`] (built
-//! once per run over a flattened temporal adjacency index); per-centre RNG
-//! streams derive from the batch seed.
+//! would have. Contrast subgraphs are drawn by a [`BatchSampler`] over the
+//! graph's own time-sorted adjacency; per-centre RNG streams derive from
+//! the batch seed.
 
 use crate::chaos::{ChaosStorage, Fault, FaultHook, FaultPoint, RetryPolicy};
 use crate::checkpoint::{CheckpointConfig, CheckpointManager, TrainCheckpoint, CHECKPOINT_VERSION};
@@ -219,8 +219,6 @@ pub fn pretrain_resumable(
 ) -> CpdgResult<PretrainOutput> {
     let sampler = NegativeSampler::from_graph(graph);
     let negative_pool: Vec<NodeId> = graph.active_nodes();
-    // Built once per run: the temporal adjacency index every batch's
-    // contrast queries walk.
     let contrast_sampler = BatchSampler::new(graph);
 
     let batch_size = cfg.batch_size.max(1);
@@ -288,7 +286,9 @@ pub fn pretrain_resumable(
             CheckpointManager::load_latest_with(storage, &dir, &runtime.chaos, &runtime.retry)?
                 .ok_or(CpdgError::NoCheckpoint { dir })?;
 
-        let copied = store.load_matching(&ckpt.params);
+        let copied = store
+            .load_matching(&ckpt.params)
+            .map_err(|e| CpdgError::corrupt(&path, e.to_string()))?;
         if copied != store.len() {
             return Err(CpdgError::corrupt(
                 &path,

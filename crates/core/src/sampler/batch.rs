@@ -2,19 +2,20 @@
 //!
 //! Pre-training asks for η-BFS / ε-DFS subgraphs in batches — one positive
 //! and one negative per contrast centre (paper §IV-B). [`BatchSampler`]
-//! builds a [`TemporalAdjacencyIndex`] once per graph and answers the
-//! `(root, t)` queries of each batch in order on the calling thread.
+//! answers the `(root, t)` queries of each batch in order on the calling
+//! thread, reading the graph's own time-sorted adjacency
+//! ([`DynamicGraph::neighbors_before`]); nothing is built per graph.
 //!
 //! **Determinism contract.** Every query `i` of a batch draws from its own
 //! RNG stream, [`query_rng`]`(batch_seed, i)` — the same splittable
 //! reseeding discipline the training loop already uses per batch. A query's
 //! result therefore depends only on `(batch_seed, i)` and the immutable
-//! index, never on the other queries of the batch (enforced by the
+//! graph, never on the other queries of the batch (enforced by the
 //! `sampler_determinism` suite).
 
-use crate::sampler::bfs::{eta_bfs_indexed, BfsConfig};
-use crate::sampler::dfs::{eps_dfs_indexed, DfsConfig};
-use cpdg_graph::{DynamicGraph, NodeId, TemporalAdjacencyIndex, Timestamp};
+use crate::sampler::bfs::{eta_bfs, BfsConfig};
+use crate::sampler::dfs::{eps_dfs, DfsConfig};
+use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -33,60 +34,15 @@ fn note_batch(queries: usize) {
     cpdg_obs::counter!("sampler.queries").add(queries as u64);
 }
 
-/// A reusable batched sampler over one graph: the temporal adjacency index
-/// is built once and shared by every batch call.
+/// A reusable batched sampler over one graph.
 pub struct BatchSampler<'g> {
     graph: &'g DynamicGraph,
-    index: TemporalAdjacencyIndex,
 }
 
 impl<'g> BatchSampler<'g> {
-    /// Builds the index for `graph`.
+    /// A sampler over `graph`.
     pub fn new(graph: &'g DynamicGraph) -> Self {
-        Self {
-            graph,
-            index: TemporalAdjacencyIndex::build(graph),
-        }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &'g DynamicGraph {
-        self.graph
-    }
-
-    /// The prebuilt temporal adjacency index.
-    pub fn index(&self) -> &TemporalAdjacencyIndex {
-        &self.index
-    }
-
-    /// η-BFS over a batch of `(root, t)` queries; result `i` is bit-identical
-    /// to `eta_bfs_indexed(index, root_i, t_i, cfg, &mut query_rng(batch_seed, i))`.
-    pub fn sample_bfs_batch(
-        &self,
-        queries: &[(NodeId, Timestamp)],
-        cfg: &BfsConfig,
-        batch_seed: u64,
-    ) -> Vec<Vec<NodeId>> {
-        note_batch(queries.len());
-        let mut out = Vec::with_capacity(queries.len());
-        for (i, &(root, t)) in queries.iter().enumerate() {
-            let mut rng = query_rng(batch_seed, i);
-            out.push(eta_bfs_indexed(&self.index, root, t, cfg, &mut rng));
-        }
-        out
-    }
-
-    /// ε-DFS over a batch of `(root, t)` queries (deterministic; no RNG).
-    pub fn sample_dfs_batch(
-        &self,
-        queries: &[(NodeId, Timestamp)],
-        cfg: &DfsConfig,
-    ) -> Vec<Vec<NodeId>> {
-        note_batch(queries.len());
-        queries
-            .iter()
-            .map(|&(root, t)| eps_dfs_indexed(&self.index, root, t, cfg))
-            .collect()
+        Self { graph }
     }
 
     /// The temporal-contrast sampling pattern: per query, a positive η-BFS
@@ -103,8 +59,8 @@ impl<'g> BatchSampler<'g> {
         let mut out = Vec::with_capacity(queries.len());
         for (i, &(root, t)) in queries.iter().enumerate() {
             let mut rng = query_rng(batch_seed, i);
-            let pos = eta_bfs_indexed(&self.index, root, t, pos_cfg, &mut rng);
-            let neg = eta_bfs_indexed(&self.index, root, t, neg_cfg, &mut rng);
+            let pos = eta_bfs(self.graph, root, t, pos_cfg, &mut rng);
+            let neg = eta_bfs(self.graph, root, t, neg_cfg, &mut rng);
             out.push((pos, neg));
         }
         out
@@ -132,7 +88,7 @@ impl<'g> BatchSampler<'g> {
         let mut out = Vec::with_capacity(queries.len());
         for (i, &(root, t)) in queries.iter().enumerate() {
             let mut rng = query_rng(batch_seed, i);
-            let pos = eps_dfs_indexed(&self.index, root, t, cfg);
+            let pos = eps_dfs(self.graph, root, t, cfg);
             let mut other = negative_pool[rng.random_range(0..negative_pool.len())];
             for _ in 0..8 {
                 if other != root {
@@ -140,7 +96,7 @@ impl<'g> BatchSampler<'g> {
                 }
                 other = negative_pool[rng.random_range(0..negative_pool.len())];
             }
-            let neg = eps_dfs_indexed(&self.index, other, t, cfg);
+            let neg = eps_dfs(self.graph, other, t, cfg);
             out.push((pos, neg));
         }
         out
@@ -167,18 +123,11 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn batch_matches_individual_queries() {
-        let ds = dataset();
-        let s = BatchSampler::new(&ds.graph);
-        let q = queries(&ds.graph, 12);
-        let cfg = BfsConfig::new(3, 2, 0.5, TemporalBias::Chronological);
-        let batch = s.sample_bfs_batch(&q, &cfg, 77);
-        for (i, &(root, t)) in q.iter().enumerate() {
-            let mut rng = query_rng(77, i);
-            let solo = eta_bfs_indexed(s.index(), root, t, &cfg, &mut rng);
-            assert_eq!(batch[i], solo, "query {i}");
-        }
+    fn bfs_pair_cfgs() -> (BfsConfig, BfsConfig) {
+        (
+            BfsConfig::new(3, 2, 0.5, TemporalBias::Chronological),
+            BfsConfig::new(3, 2, 0.5, TemporalBias::ReverseChronological),
+        )
     }
 
     #[test]
@@ -186,29 +135,21 @@ mod tests {
         let ds = dataset();
         let s = BatchSampler::new(&ds.graph);
         let q = queries(&ds.graph, 16);
-        let cfg = BfsConfig::new(3, 2, 0.5, TemporalBias::Chronological);
-        let a = s.sample_bfs_batch(&q, &cfg, 1);
-        let b = s.sample_bfs_batch(&q, &cfg, 2);
+        let (pos, neg) = bfs_pair_cfgs();
+        let a = s.sample_bfs_pairs(&q, &pos, &neg, 1);
+        let b = s.sample_bfs_pairs(&q, &pos, &neg, 2);
         assert_ne!(a, b, "distinct batch seeds must explore differently");
-    }
-
-    #[test]
-    fn dfs_batch_is_seed_free_and_deterministic() {
-        let ds = dataset();
-        let q = queries(&ds.graph, 10);
-        let cfg = DfsConfig::new(2, 2);
-        let a = BatchSampler::new(&ds.graph).sample_dfs_batch(&q, &cfg);
-        let b = BatchSampler::new(&ds.graph).sample_dfs_batch(&q, &cfg);
-        assert_eq!(a, b);
     }
 
     #[test]
     fn empty_batch_is_empty() {
         let ds = dataset();
         let s = BatchSampler::new(&ds.graph);
-        let cfg = BfsConfig::new(2, 1, 0.5, TemporalBias::Chronological);
-        assert!(s.sample_bfs_batch(&[], &cfg, 0).is_empty());
-        assert!(s.sample_dfs_batch(&[], &DfsConfig::new(2, 1)).is_empty());
+        let (pos, neg) = bfs_pair_cfgs();
+        assert!(s.sample_bfs_pairs(&[], &pos, &neg, 0).is_empty());
+        assert!(s
+            .sample_dfs_pairs(&[], &[0], &DfsConfig::new(2, 1), 0)
+            .is_empty());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! (Eq. 7) this yields the *recent* subgraph `TP_i^t`; with the reverse
 //! chronological probability (Eq. 8) the *agelong* subgraph `TN_i^t`.
 
+use crate::sampler::counted_before;
 use crate::sampler::prob::{temporal_probs, TemporalBias};
-use cpdg_graph::{DynamicGraph, NodeId, TemporalAdjacencyIndex, Timestamp};
+use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -46,56 +47,20 @@ pub fn eta_bfs(
 ) -> Vec<NodeId> {
     let mut seen: Vec<NodeId> = vec![root];
     let mut frontier: Vec<NodeId> = vec![root];
+    // One timestamp buffer, refilled per frontier node.
+    let mut times: Vec<Timestamp> = Vec::new();
     for _hop in 0..cfg.k {
         let mut next: Vec<NodeId> = Vec::new();
         for &node in &frontier {
-            let neighbors = graph.neighbors_before(node, t);
+            let neighbors = counted_before(graph, node, t);
             if neighbors.is_empty() {
                 continue;
             }
-            let times: Vec<Timestamp> = neighbors.iter().map(|e| e.t).collect();
+            times.clear();
+            times.extend(neighbors.iter().map(|e| e.t));
             let probs = temporal_probs(&times, t, cfg.tau, cfg.bias);
             for idx in sample_without_replacement(&probs, cfg.eta, rng) {
                 let cand = neighbors[idx].neighbor;
-                if !seen.contains(&cand) {
-                    seen.push(cand);
-                    next.push(cand);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    seen
-}
-
-/// η-BFS against a prebuilt [`TemporalAdjacencyIndex`] instead of the
-/// graph's nested adjacency lists. Produces *bit-identical* output to
-/// [`eta_bfs`] for the same `(root, t, cfg)` and RNG state — the index holds
-/// the same entries in the same time-sorted order, so the weighted draw
-/// consumes the RNG stream identically — while skipping the per-node
-/// timestamp re-collection the graph path pays on every frontier expansion.
-pub fn eta_bfs_indexed(
-    index: &TemporalAdjacencyIndex,
-    root: NodeId,
-    t: Timestamp,
-    cfg: &BfsConfig,
-    rng: &mut StdRng,
-) -> Vec<NodeId> {
-    let mut seen: Vec<NodeId> = vec![root];
-    let mut frontier: Vec<NodeId> = vec![root];
-    for _hop in 0..cfg.k {
-        let mut next: Vec<NodeId> = Vec::new();
-        for &node in &frontier {
-            let view = index.before(node, t);
-            if view.is_empty() {
-                continue;
-            }
-            let probs = temporal_probs(view.times, t, cfg.tau, cfg.bias);
-            for idx in sample_without_replacement(&probs, cfg.eta, rng) {
-                let cand = view.neighbors[idx];
                 if !seen.contains(&cand) {
                     seen.push(cand);
                     next.push(cand);
@@ -318,24 +283,6 @@ mod tests {
         for _ in 0..20 {
             let s = sample_without_replacement(&w, 2, &mut rng);
             assert_eq!(s.len(), 2);
-        }
-    }
-
-    #[test]
-    fn indexed_bfs_matches_graph_path_bitwise() {
-        let g = two_hop_graph();
-        let idx = cpdg_graph::TemporalAdjacencyIndex::build(&g);
-        for seed in 0..20 {
-            for bias in [
-                TemporalBias::Chronological,
-                TemporalBias::ReverseChronological,
-            ] {
-                let mut r1 = StdRng::seed_from_u64(seed);
-                let mut r2 = StdRng::seed_from_u64(seed);
-                let a = eta_bfs(&g, 0, 10.0, &cfg(bias), &mut r1);
-                let b = eta_bfs_indexed(&idx, 0, 10.0, &cfg(bias), &mut r2);
-                assert_eq!(a, b, "seed {seed} bias {bias:?}");
-            }
         }
     }
 

@@ -7,7 +7,8 @@
 //! the same most-recent-first preference — and it is the generator of the
 //! structural positive/negative subgraphs `SP_i^t` / `SN_{i'}^t`.
 
-use cpdg_graph::{DynamicGraph, NodeId, TemporalAdjacencyIndex, Timestamp};
+use crate::sampler::counted_before;
+use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 
 /// ε-DFS hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -45,49 +46,15 @@ fn expand(
     if depth_left == 0 {
         return;
     }
-    // `recent_neighbors` returns most-recent-first — exactly the ε suffix
-    // of the chronologically sorted neighbourhood NS_i^t of Eq. 5.
-    for entry in graph.recent_neighbors(node, t, cfg.epsilon) {
+    // Most recent first: exactly the ε suffix of the chronologically
+    // sorted neighbourhood NS_i^t of Eq. 5.
+    let before = counted_before(graph, node, t);
+    for entry in before.iter().rev().take(cfg.epsilon) {
         if !seen.contains(&entry.neighbor) {
             seen.push(entry.neighbor);
+            // Recurse at the *event* time: the child sees only history
+            // strictly before the edge that led to it.
             expand(graph, entry.neighbor, entry.t, depth_left - 1, cfg, seen);
-        }
-    }
-}
-
-/// ε-DFS against a prebuilt [`TemporalAdjacencyIndex`]. The selection is
-/// fully deterministic, so this is *identical* (not merely equivalent) to
-/// [`eps_dfs`] for the same arguments; it differs only in cost — the index
-/// yields the ε most recent neighbours without the per-node `Vec`
-/// allocation [`DynamicGraph::recent_neighbors`] performs.
-pub fn eps_dfs_indexed(
-    index: &TemporalAdjacencyIndex,
-    root: NodeId,
-    t: Timestamp,
-    cfg: &DfsConfig,
-) -> Vec<NodeId> {
-    let mut seen: Vec<NodeId> = vec![root];
-    expand_indexed(index, root, t, cfg.k, cfg, &mut seen);
-    seen
-}
-
-fn expand_indexed(
-    index: &TemporalAdjacencyIndex,
-    node: NodeId,
-    t: Timestamp,
-    depth_left: usize,
-    cfg: &DfsConfig,
-    seen: &mut Vec<NodeId>,
-) {
-    if depth_left == 0 {
-        return;
-    }
-    for (neighbor, et) in index.recent_before(node, t, cfg.epsilon) {
-        if !seen.contains(&neighbor) {
-            seen.push(neighbor);
-            // Recurse at the *event* time, matching `expand`: the child sees
-            // only history strictly before the edge that led to it.
-            expand_indexed(index, neighbor, et, depth_left - 1, cfg, seen);
         }
     }
 }
@@ -184,24 +151,6 @@ mod tests {
     fn isolated_root_is_singleton() {
         let g = graph_from_triples(3, &[(1, 2, 1.0)]).unwrap();
         assert_eq!(eps_dfs(&g, 0, 5.0, &DfsConfig::new(2, 2)), vec![0]);
-    }
-
-    #[test]
-    fn indexed_dfs_matches_graph_path_exactly() {
-        let g = fig4_like_graph();
-        let idx = cpdg_graph::TemporalAdjacencyIndex::build(&g);
-        for root in 0..10u32 {
-            for t in [0.5, 2.5, 4.2, 6.0, 100.0] {
-                for (eps, k) in [(1, 1), (2, 2), (3, 3)] {
-                    let cfg = DfsConfig::new(eps, k);
-                    assert_eq!(
-                        eps_dfs(&g, root, t, &cfg),
-                        eps_dfs_indexed(&idx, root, t, &cfg),
-                        "root {root} t {t} eps {eps} k {k}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -11,6 +11,19 @@ pub mod prob;
 mod cases;
 
 pub use batch::{query_rng, BatchSampler};
-pub use bfs::{eta_bfs, eta_bfs_indexed, BfsConfig};
-pub use dfs::{eps_dfs, eps_dfs_indexed, DfsConfig};
+pub use bfs::{eta_bfs, BfsConfig};
+pub use dfs::{eps_dfs, DfsConfig};
 pub use prob::{temporal_probs, TemporalBias};
+
+use cpdg_graph::{DynamicGraph, NeighborEntry, NodeId, Timestamp};
+
+/// `graph.neighbors_before(node, t)`, counted: every sampler lookup bumps
+/// `graph.index_lookups`, and a non-empty neighbourhood `graph.index_hits`.
+fn counted_before(graph: &DynamicGraph, node: NodeId, t: Timestamp) -> &[NeighborEntry] {
+    let before = graph.neighbors_before(node, t);
+    cpdg_obs::counter!("graph.index_lookups").inc();
+    if !before.is_empty() {
+        cpdg_obs::counter!("graph.index_hits").inc();
+    }
+    before
+}

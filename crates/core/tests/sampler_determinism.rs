@@ -1,76 +1,15 @@
-//! Equivalence and determinism guarantees of the indexed/batched samplers.
+//! Determinism guarantees of the batched samplers.
 //!
-//! Two contracts, each load-bearing for the pre-training path:
-//!
-//! 1. **Index ≡ graph.** `eta_bfs_indexed` / `eps_dfs_indexed` over a
-//!    [`TemporalAdjacencyIndex`] must reproduce `eta_bfs` / `eps_dfs` over
-//!    the raw graph *exactly* — same nodes, same order, same RNG draws —
-//!    on arbitrary random graphs, not just hand-picked fixtures.
-//! 2. **Batch ≡ solo.** Entry `i` of a batch equals the stand-alone call
-//!    with `query_rng(batch_seed, i)`.
+//! **Batch ≡ solo.** Entry `i` of a batch equals the stand-alone
+//! `eta_bfs` / `eps_dfs` calls with `query_rng(batch_seed, i)`, so a
+//! query's subgraphs never depend on the other queries of its batch.
 
-mod common;
-
-use common::{for_each_case, Lcg};
 use cpdg_core::sampler::batch::{query_rng, BatchSampler};
-use cpdg_core::sampler::bfs::{eta_bfs, eta_bfs_indexed, BfsConfig};
-use cpdg_core::sampler::dfs::{eps_dfs, eps_dfs_indexed, DfsConfig};
+use cpdg_core::sampler::bfs::{eta_bfs, BfsConfig};
+use cpdg_core::sampler::dfs::{eps_dfs, DfsConfig};
 use cpdg_core::sampler::prob::TemporalBias;
-use cpdg_graph::{
-    generate, graph_from_triples, DynamicGraph, NodeId, SyntheticConfig, TemporalAdjacencyIndex,
-    Timestamp,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// A random graph: arbitrary (src, dst, t) triples over a small universe,
-/// including self-loops and duplicate edges — the degenerate shapes where
-/// an index most plausibly diverges from the raw adjacency scan.
-fn random_graph(case: &mut Lcg) -> DynamicGraph {
-    let n = case.index(2, 16);
-    let triples = case.triples(n, 1, 60, 100.0);
-    graph_from_triples(n, &triples).expect("finite times, in-range ids")
-}
-
-fn all_biases() -> [TemporalBias; 3] {
-    [
-        TemporalBias::Chronological,
-        TemporalBias::ReverseChronological,
-        TemporalBias::Uniform,
-    ]
-}
-
-#[test]
-fn indexed_bfs_equals_graph_bfs_on_random_graphs() {
-    for_each_case(32, |case| {
-        let graph = random_graph(case);
-        let (seed, t) = (case.index(0, 500) as u64, case.float(0.0, 120.0));
-        let index = TemporalAdjacencyIndex::build(&graph);
-        let cfg = BfsConfig::new(3, 2, 0.5, all_biases()[(seed % 3) as usize]);
-        for root in 0..graph.num_nodes() as NodeId {
-            let mut rng_a = StdRng::seed_from_u64(seed);
-            let mut rng_b = StdRng::seed_from_u64(seed);
-            let via_graph = eta_bfs(&graph, root, t, &cfg, &mut rng_a);
-            let via_index = eta_bfs_indexed(&index, root, t, &cfg, &mut rng_b);
-            assert_eq!(via_index, via_graph, "root {root} at t={t}");
-        }
-    });
-}
-
-#[test]
-fn indexed_dfs_equals_graph_dfs_on_random_graphs() {
-    for_each_case(32, |case| {
-        let graph = random_graph(case);
-        let (t, eps, k) = (case.float(0.0, 120.0), case.index(1, 4), case.index(1, 4));
-        let index = TemporalAdjacencyIndex::build(&graph);
-        let cfg = DfsConfig::new(eps, k);
-        for root in 0..graph.num_nodes() as NodeId {
-            let via_graph = eps_dfs(&graph, root, t, &cfg);
-            let via_index = eps_dfs_indexed(&index, root, t, &cfg);
-            assert_eq!(via_index, via_graph, "root {root} at t={t}");
-        }
-    });
-}
+use cpdg_graph::{generate, NodeId, SyntheticConfig, Timestamp};
+use rand::RngExt;
 
 fn workload() -> (cpdg_graph::SyntheticDataset, Vec<(NodeId, Timestamp)>) {
     let ds = generate(&SyntheticConfig::amazon_like(31).scaled(0.08));
@@ -86,52 +25,57 @@ fn workload() -> (cpdg_graph::SyntheticDataset, Vec<(NodeId, Timestamp)>) {
 }
 
 #[test]
-fn batch_entries_equal_solo_calls_with_query_rng() {
+fn bfs_pairs_equal_solo_calls_with_query_rng() {
     let (ds, queries) = workload();
     let sampler = BatchSampler::new(&ds.graph);
     let bfs = BfsConfig::new(4, 2, 0.4, TemporalBias::Chronological);
     let rev = BfsConfig::new(4, 2, 0.4, TemporalBias::ReverseChronological);
     let batch_seed = 0xC0FFEE;
 
-    let batch = sampler.sample_bfs_batch(&queries, &bfs, batch_seed);
-    for (i, &(root, t)) in queries.iter().enumerate() {
-        let mut rng = query_rng(batch_seed, i);
-        let solo = eta_bfs_indexed(sampler.index(), root, t, &bfs, &mut rng);
-        assert_eq!(batch[i], solo, "bfs query {i}");
-    }
-
     let pairs = sampler.sample_bfs_pairs(&queries, &bfs, &rev, batch_seed);
     for (i, &(root, t)) in queries.iter().enumerate() {
         let mut rng = query_rng(batch_seed, i);
-        let pos = eta_bfs_indexed(sampler.index(), root, t, &bfs, &mut rng);
-        let neg = eta_bfs_indexed(sampler.index(), root, t, &rev, &mut rng);
+        let pos = eta_bfs(&ds.graph, root, t, &bfs, &mut rng);
+        let neg = eta_bfs(&ds.graph, root, t, &rev, &mut rng);
+        assert_eq!(pairs[i], (pos, neg), "pair query {i}");
+    }
+}
+
+#[test]
+fn dfs_pairs_equal_solo_calls_with_query_rng() {
+    let (ds, queries) = workload();
+    let sampler = BatchSampler::new(&ds.graph);
+    let dfs = DfsConfig::new(3, 2);
+    let pool: Vec<NodeId> = queries.iter().map(|&(n, _)| n).collect();
+    let batch_seed = 0xBADC0DE;
+
+    let pairs = sampler.sample_dfs_pairs(&queries, &pool, &dfs, batch_seed);
+    for (i, &(root, t)) in queries.iter().enumerate() {
+        // The negative root is the first pool draw of query i's stream
+        // that differs from the centre (at most nine draws).
+        let mut rng = query_rng(batch_seed, i);
+        let mut other = root;
+        for _ in 0..9 {
+            other = pool[rng.random_range(0..pool.len())];
+            if other != root {
+                break;
+            }
+        }
+        let pos = eps_dfs(&ds.graph, root, t, &dfs);
+        let neg = eps_dfs(&ds.graph, other, t, &dfs);
         assert_eq!(pairs[i], (pos, neg), "pair query {i}");
     }
 }
 
 #[test]
 fn repeated_batches_are_reproducible() {
-    // Same sampler, same seed, called twice — the index is immutable and
+    // Same sampler, same seed, called twice — the graph is immutable and
     // each query reseeds from scratch, so nothing may carry over.
     let (ds, queries) = workload();
     let sampler = BatchSampler::new(&ds.graph);
     let bfs = BfsConfig::new(3, 3, 0.6, TemporalBias::Chronological);
-    let a = sampler.sample_bfs_batch(&queries, &bfs, 7);
-    let b = sampler.sample_bfs_batch(&queries, &bfs, 7);
+    let rev = BfsConfig::new(3, 3, 0.6, TemporalBias::ReverseChronological);
+    let a = sampler.sample_bfs_pairs(&queries, &bfs, &rev, 7);
+    let b = sampler.sample_bfs_pairs(&queries, &bfs, &rev, 7);
     assert_eq!(a, b);
-}
-
-#[test]
-fn index_rebuild_is_stable() {
-    // Building the index twice from the same graph yields identical
-    // flattened arrays — a prerequisite for cross-run reproducibility.
-    let (ds, _) = workload();
-    let a = TemporalAdjacencyIndex::build(&ds.graph);
-    let b = TemporalAdjacencyIndex::build(&ds.graph);
-    for node in 0..ds.graph.num_nodes() as NodeId {
-        let (va, vb) = (a.neighborhood(node), b.neighborhood(node));
-        assert_eq!(va.neighbors, vb.neighbors);
-        assert_eq!(va.times, vb.times);
-        assert_eq!(va.edges, vb.edges);
-    }
 }

@@ -542,7 +542,6 @@ impl DgnnEncoder {
             kv_nodes.extend(
                 graph
                     .recent_neighbors(m.other, m.t, self.cfg.n_neighbors)
-                    .iter()
                     .map(|nb| nb.neighbor),
             );
             segments.push(start..kv_nodes.len());
@@ -1078,7 +1077,7 @@ mod tests {
         let times = [6.0, 6.0, 6.5, 3.5, 1.0, 2.5, 6.0];
         for (name, cfg) in wirings() {
             let (store, enc, graph) = with_pending(cfg);
-            assert!(graph.recent_neighbors(4, 1.0, 10).is_empty());
+            assert!(graph.recent_neighbors(4, 1.0, 10).next().is_none());
 
             let mut tape = Tape::new();
             let ctx = enc.apply_pending(&mut tape, &store, &graph);
@@ -1138,7 +1137,6 @@ mod tests {
             partners.extend(
                 graph
                     .recent_neighbors(m.other, m.t, 10)
-                    .iter()
                     .map(|nb| nb.neighbor),
             );
             let kv = ref_tape.constant(enc.node_repr_values(&store, &partners));

@@ -196,9 +196,14 @@ impl DynamicGraph {
     /// The `n` most recent neighbours of `node` strictly before `t`,
     /// *most recent first* — the selection used by the ε-DFS sampler
     /// (paper Eq. 5) and by TGN-style attention over recent neighbours.
-    pub fn recent_neighbors(&self, node: NodeId, t: Timestamp, n: usize) -> Vec<NeighborEntry> {
-        let before = self.neighbors_before(node, t);
-        before.iter().rev().take(n).copied().collect()
+    /// Borrows from the adjacency list; nothing is allocated.
+    pub fn recent_neighbors(
+        &self,
+        node: NodeId,
+        t: Timestamp,
+        n: usize,
+    ) -> impl Iterator<Item = &NeighborEntry> + '_ {
+        self.neighbors_before(node, t).iter().rev().take(n)
     }
 
     /// Temporal degree of `node` before `t`.
@@ -224,22 +229,6 @@ impl DynamicGraph {
         f.sort_unstable();
         f.dedup();
         f
-    }
-
-    /// Events whose chronological index lies in `[start, end)`.
-    pub fn event_range(&self, start: usize, end: usize) -> &[Interaction] {
-        &self.events[start..end]
-    }
-
-    /// Whether edge `(src, dst)` occurs anywhere in the log (used by
-    /// negative-sampling tests; O(min-degree) scan).
-    pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        let (a, b) = if self.adjacency[src as usize].len() <= self.adjacency[dst as usize].len() {
-            (src, dst)
-        } else {
-            (dst, src)
-        };
-        self.adjacency[a as usize].iter().any(|e| e.neighbor == b)
     }
 }
 
@@ -283,17 +272,14 @@ mod tests {
     #[test]
     fn recent_neighbors_most_recent_first() {
         let g = sample_graph();
-        let r = g.recent_neighbors(0, 10.0, 2);
-        assert_eq!(r.len(), 2);
-        assert_eq!(r[0].t, 4.0);
-        assert_eq!(r[1].t, 2.0);
+        let r: Vec<Timestamp> = g.recent_neighbors(0, 10.0, 2).map(|e| e.t).collect();
+        assert_eq!(r, vec![4.0, 2.0]);
     }
 
     #[test]
     fn recent_neighbors_handles_fewer_than_requested() {
         let g = sample_graph();
-        let r = g.recent_neighbors(1, 2.0, 5);
-        assert_eq!(r.len(), 1);
+        assert_eq!(g.recent_neighbors(1, 2.0, 5).count(), 1);
     }
 
     #[test]
@@ -308,14 +294,6 @@ mod tests {
     fn fields_deduplicated_sorted() {
         let g = sample_graph();
         assert_eq!(g.fields(), vec![0, 1]);
-    }
-
-    #[test]
-    fn has_edge_checks_both_orders() {
-        let g = sample_graph();
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 0));
     }
 
     #[test]
@@ -337,9 +315,8 @@ mod tests {
         assert_eq!(g.t_max(), Some(2.0));
         // Adjacency stays time-sorted and bidirectional.
         assert_eq!(g.neighbors_before(2, 10.0).len(), 2);
-        assert!(g.has_edge(2, 1));
-        let r = g.recent_neighbors(0, 10.0, 5);
-        assert_eq!(r[0].t, 2.0, "most recent first");
+        let r = g.recent_neighbors(0, 10.0, 5).next().unwrap();
+        assert_eq!(r.t, 2.0, "most recent first");
 
         // Streaming invariants: monotone time, valid ids, finite stamps.
         assert_eq!(

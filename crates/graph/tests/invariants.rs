@@ -137,10 +137,10 @@ fn recent_neighbors_agree_with_neighbors_before() {
     let t = g.t_max().unwrap() * 0.8;
     for node in g.active_nodes().into_iter().take(20) {
         let before = g.neighbors_before(node, t);
-        let recent = g.recent_neighbors(node, t, 5);
+        let recent: Vec<_> = g.recent_neighbors(node, t, 5).collect();
         assert!(recent.len() <= 5.min(before.len()));
         // recent = the reversed tail of `before`.
-        for (i, e) in recent.iter().enumerate() {
+        for (i, e) in recent.into_iter().enumerate() {
             assert_eq!(e, &before[before.len() - 1 - i]);
         }
     }

@@ -40,7 +40,7 @@ use cpdg_dgnn::{
     Deadline, DeadlineExceeded, DgnnConfig, DgnnEncoder, EncoderState, LinkPredictor, PendingStates,
 };
 use cpdg_graph::{DynamicGraph, FieldId, GraphError, Interaction, NodeId, Timestamp};
-use cpdg_tensor::{Eval, Forward, Matrix, ParamStore};
+use cpdg_tensor::{Eval, Forward, Matrix, ParamStore, ShapeMismatch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -255,7 +255,13 @@ pub struct Engine {
     last_reject: Mutex<Option<String>>,
 }
 
-fn build_epoch(model: &ModelFile, version: u64, seed: u64) -> (Epoch, DgnnEncoder) {
+/// Builds the epoch and encoder `model`'s config describes and loads its
+/// parameters; a parameter whose shape disagrees is refused.
+fn build_epoch(
+    model: &ModelFile,
+    version: u64,
+    seed: u64,
+) -> Result<(Epoch, DgnnEncoder), ShapeMismatch> {
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let encoder = DgnnEncoder::new(
@@ -266,7 +272,7 @@ fn build_epoch(model: &ModelFile, version: u64, seed: u64) -> (Epoch, DgnnEncode
         model.encoder_config.clone(),
     );
     let head = LinkPredictor::new(&mut store, &mut rng, HEAD_NAME, model.encoder_config.dim);
-    let loaded = store.load_matching(&model.params);
+    let loaded = store.load_matching(&model.params)?;
     if loaded == 0 {
         cpdg_obs::warn!(
             "serve.engine",
@@ -300,7 +306,7 @@ fn build_epoch(model: &ModelFile, version: u64, seed: u64) -> (Epoch, DgnnEncode
         num_nodes: model.num_nodes,
         static_states,
     };
-    (epoch, encoder)
+    Ok((epoch, encoder))
 }
 
 /// Why an epoch swap is happening — selects the fault point consulted,
@@ -387,18 +393,33 @@ fn take_pending(inner: &mut EngineInner) -> PendingStates {
 impl Engine {
     /// Loads a pre-trained model bundle and builds a serving engine at
     /// version 1 with a fresh (zero) memory and an empty event log.
+    /// A model whose parameter shapes disagree with the encoder its config
+    /// builds is refused as corrupt, naming `path`.
     pub fn from_model_file(path: &Path, config: EngineConfig, hook: FaultHook) -> CpdgResult<Self> {
         let model = ModelFile::load(path)?;
-        Ok(Self::from_model(&model, config, hook))
+        Self::build(&model, config, hook).map_err(|e| CpdgError::corrupt(path, e.to_string()))
     }
 
     /// Builds a serving engine from an already-loaded model bundle.
+    ///
+    /// # Panics
+    /// Panics if a parameter's shape disagrees with the encoder the
+    /// model's config builds ([`Engine::from_model_file`] refuses such a
+    /// file instead).
     pub fn from_model(model: &ModelFile, config: EngineConfig, hook: FaultHook) -> Self {
-        let (epoch, encoder) = build_epoch(model, 1, config.seed);
+        Self::build(model, config, hook).unwrap_or_else(|e| panic!("Engine::from_model: {e}"))
+    }
+
+    fn build(
+        model: &ModelFile,
+        config: EngineConfig,
+        hook: FaultHook,
+    ) -> Result<Self, ShapeMismatch> {
+        let (epoch, encoder) = build_epoch(model, 1, config.seed)?;
         let epoch = Arc::new(epoch);
         let graph = DynamicGraph::empty(model.num_nodes);
         let breaker = CircuitBreaker::new(config.breaker_threshold, config.breaker_probe_every);
-        Self {
+        Ok(Self {
             inner: Mutex::new(EngineInner {
                 epoch: Arc::clone(&epoch),
                 encoder,
@@ -414,7 +435,7 @@ impl Engine {
             config,
             counts: Default::default(),
             last_reject: Mutex::new(None),
-        }
+        })
     }
 
     /// Adds one to `stat`.
@@ -970,7 +991,8 @@ impl Engine {
                 model.num_nodes, model.encoder_config.dim, old.num_nodes, old.cfg.dim
             )));
         }
-        let (epoch, mut encoder) = build_epoch(&model, old.version + 1, self.config.seed);
+        let (epoch, mut encoder) = build_epoch(&model, old.version + 1, self.config.seed)
+            .map_err(|e| CpdgError::corrupt(path, e.to_string()))?;
         if let Err(e) = encoder.restore_state(inner.encoder.export_state()) {
             return Err(CpdgError::Invalid(format!(
                 "memory transplant refused: {e}"
@@ -1668,7 +1690,8 @@ mod tests {
         for (name, cfg) in wirings {
             let model = model_with(cfg, 7);
             let engine = Engine::from_model(&model, EngineConfig::default(), FaultHook::none());
-            let (epoch, mut reference) = build_epoch(&model, 1, EngineConfig::default().seed);
+            let (epoch, mut reference) =
+                build_epoch(&model, 1, EngineConfig::default().seed).unwrap();
             let mut graph = DynamicGraph::empty(model.num_nodes);
             for &(src, dst, t) in &events {
                 ingest_events(&engine, &[(src, dst, t)]);

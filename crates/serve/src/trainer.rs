@@ -154,7 +154,8 @@ impl TrainerRuntime {
         std::fs::create_dir_all(cfg.epoch_dir.join(QUARANTINE_DIR))
             .map_err(|e| CpdgError::io(&cfg.epoch_dir, e))?;
         let serving_model = ModelFile::load(serving_path)?;
-        let trainer = ContinualTrainer::from_model(&serving_model, cfg.continual.clone())?;
+        let trainer =
+            ContinualTrainer::from_model(&serving_model, serving_path, cfg.continual.clone())?;
         let hook = engine.fault_hook();
         let generation = recover_generation(&cfg.epoch_dir);
         let num_nodes = serving_model.num_nodes;
@@ -245,8 +246,11 @@ impl TrainerRuntime {
     /// Rebuilds the trainer from the serving epoch — the recovery move
     /// after divergence or a caught panic left trainer state suspect.
     pub fn reset_from_serving(&mut self) -> CpdgResult<()> {
-        self.trainer =
-            ContinualTrainer::from_model(&self.serving_model, self.cfg.continual.clone())?;
+        self.trainer = ContinualTrainer::from_model(
+            &self.serving_model,
+            &self.serving_path,
+            self.cfg.continual.clone(),
+        )?;
         Ok(())
     }
 

@@ -52,5 +52,5 @@ pub mod threading;
 
 pub use forward::{Eval, Forward};
 pub use matrix::Matrix;
-pub use param::{ParamId, ParamStore};
+pub use param::{ParamId, ParamStore, ShapeMismatch};
 pub use tape::{Gradients, Tape, Var};

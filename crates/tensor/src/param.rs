@@ -9,6 +9,7 @@
 
 use crate::matrix::Matrix;
 use std::collections::HashMap;
+use std::fmt;
 
 /// Opaque handle to one trainable parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,6 +21,30 @@ impl ParamId {
         self.0
     }
 }
+
+/// Why [`ParamStore::load_matching`] refused: a parameter both stores name
+/// has different shapes in each.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShapeMismatch {
+    /// The parameter's name.
+    pub name: String,
+    /// Its `(rows, cols)` in the receiving store.
+    pub expected: (usize, usize),
+    /// Its `(rows, cols)` in the source store.
+    pub found: (usize, usize),
+}
+
+impl fmt::Display for ShapeMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "parameter {:?} is {}x{}, the model needs {}x{}",
+            self.name, self.found.0, self.found.1, self.expected.0, self.expected.1
+        )
+    }
+}
+
+impl std::error::Error for ShapeMismatch {}
 
 #[derive(Debug, Clone)]
 struct ParamEntry {
@@ -102,25 +127,36 @@ impl ParamStore {
     }
 
     /// Copies values from `other` for every parameter whose name exists in
-    /// both stores, returning how many were copied. Shapes must match for
-    /// copied names. This is the "initialise downstream model from
-    /// pre-trained weights" primitive used by fine-tuning.
-    pub fn load_matching(&mut self, other: &ParamStore) -> usize {
+    /// both stores, returning how many were copied. This is the
+    /// "initialise downstream model from pre-trained weights" primitive
+    /// used by fine-tuning. Every shared name must have the same shape in
+    /// both stores; otherwise nothing is copied and the first mismatch is
+    /// returned.
+    pub fn load_matching(&mut self, other: &ParamStore) -> Result<usize, ShapeMismatch> {
+        let source = |entry: &ParamEntry| {
+            let id = other.by_name.get(&entry.name)?;
+            Some(&other.entries[id.0].value)
+        };
+        for entry in &self.entries {
+            match source(entry) {
+                Some(src) if src.shape() != entry.value.shape() => {
+                    return Err(ShapeMismatch {
+                        name: entry.name.clone(),
+                        expected: entry.value.shape(),
+                        found: src.shape(),
+                    })
+                }
+                _ => {}
+            }
+        }
         let mut copied = 0;
         for entry in &mut self.entries {
-            if let Some(src_id) = other.by_name.get(&entry.name) {
-                let src = &other.entries[src_id.0].value;
-                assert_eq!(
-                    entry.value.shape(),
-                    src.shape(),
-                    "load_matching: shape mismatch for {:?}",
-                    entry.name
-                );
+            if let Some(src) = source(entry) {
                 entry.value = src.clone();
                 copied += 1;
             }
         }
-        copied
+        Ok(copied)
     }
 }
 
@@ -158,9 +194,35 @@ mod tests {
         let w = downstream.register("enc.w", Matrix::zeros(1, 2));
         downstream.register("new_head.w", Matrix::zeros(1, 1));
 
-        let copied = downstream.load_matching(&pretrained);
+        let copied = downstream.load_matching(&pretrained).unwrap();
         assert_eq!(copied, 1);
         assert_eq!(downstream.value(w), &Matrix::full(1, 2, 7.0));
+    }
+
+    #[test]
+    fn load_matching_refuses_a_shape_mismatch_and_copies_nothing() {
+        let mut pretrained = ParamStore::new();
+        pretrained.register("a", Matrix::full(1, 2, 7.0));
+        pretrained.register("b", Matrix::full(3, 2, 9.0));
+
+        let mut downstream = ParamStore::new();
+        let a = downstream.register("a", Matrix::zeros(1, 2));
+        downstream.register("b", Matrix::zeros(2, 3));
+
+        let err = downstream.load_matching(&pretrained).unwrap_err();
+        assert_eq!(
+            err,
+            ShapeMismatch {
+                name: "b".into(),
+                expected: (2, 3),
+                found: (3, 2),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            r#"parameter "b" is 3x2, the model needs 2x3"#
+        );
+        assert_eq!(downstream.value(a), &Matrix::zeros(1, 2), "nothing copied");
     }
 
     #[test]

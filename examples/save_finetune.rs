@@ -80,7 +80,9 @@ fn main() {
         reloaded.num_nodes,
         reloaded.encoder_config.clone(),
     );
-    let copied = store2.load_matching(&reloaded.params);
+    let copied = store2
+        .load_matching(&reloaded.params)
+        .expect("model fits its config");
     println!("reloaded {copied} tensors into a fresh encoder");
 
     for strategy in [

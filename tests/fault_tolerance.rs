@@ -4,7 +4,7 @@
 
 mod support;
 
-use cpdg::core::checkpoint::CheckpointConfig;
+use cpdg::core::checkpoint::{CheckpointConfig, CheckpointManager};
 use cpdg::core::error::CpdgError;
 use cpdg::core::model_io::ModelFile;
 use cpdg::core::pretrain::{pretrain_resumable, PretrainConfig, PretrainRuntime};
@@ -15,7 +15,7 @@ use cpdg::graph::SyntheticDataset;
 use cpdg::tensor::optim::Adam;
 use cpdg::tensor::ParamStore;
 use std::path::PathBuf;
-use support::{build, pcfg, pretrain_run, test_dir, tiny_dataset};
+use support::{build, pcfg, pretrain_run, test_dir, tiny_dataset, with_one_shape_swapped};
 
 /// Steps an uninterrupted run of `cfg` over `ds` takes: one per batch per
 /// epoch. Kill points derive from it so they always land inside the run.
@@ -152,6 +152,59 @@ fn resume_skips_corrupt_newest_checkpoint() {
         .expect("resume past the corrupt file");
     assert_eq!(resumed.checkpoints.len(), cfg.n_checkpoints);
     assert!(resumed.epoch_losses.iter().all(|e| e.total.is_finite()));
+}
+
+#[test]
+fn resume_refuses_a_resealed_checkpoint_with_a_swapped_parameter_shape() {
+    let ds = tiny_dataset(2);
+    let cfg = pcfg();
+    let dir = test_dir("shape_swap");
+    let ckpt = CheckpointConfig {
+        dir: dir.to_path_buf(),
+        every_n_steps: 1,
+        keep: 2,
+    };
+    let runtime = PretrainRuntime {
+        checkpoint: Some(ckpt.clone()),
+        step_limit: Some(2),
+        ..PretrainRuntime::default()
+    };
+    let steps = run_steps(&ds, &cfg);
+    assert_interrupted(
+        pretrain_run(&ds.graph, 1, &runtime).1.unwrap_err(),
+        2,
+        steps,
+    );
+
+    // Re-seal the newest checkpoint with one parameter transposed.
+    let (mut newest, path) = CheckpointManager::load_latest(&FS_STORAGE, &dir)
+        .unwrap()
+        .expect("a checkpoint");
+    let (params, param) = with_one_shape_swapped(&newest.params);
+    newest.params = params;
+    let resealed = CheckpointManager::new(ckpt.clone(), &FS_STORAGE)
+        .unwrap()
+        .save(&newest)
+        .unwrap();
+    assert_eq!(resealed, path);
+
+    let runtime = PretrainRuntime {
+        checkpoint: Some(ckpt),
+        resume: true,
+        ..PretrainRuntime::default()
+    };
+    let err = pretrain_run(&ds.graph, 1, &runtime).1.unwrap_err();
+    assert_eq!(err.exit_code(), 4, "{err}");
+    match &err {
+        CpdgError::Corrupt {
+            path: named,
+            reason,
+        } => {
+            assert_eq!(named, &path);
+            assert!(reason.contains(&param), "{err}");
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
 }
 
 #[test]

@@ -4,15 +4,21 @@
 
 mod support;
 
+use cpdg::core::chaos::FaultHook;
 use cpdg::core::codec;
+use cpdg::core::error::CpdgError;
 use cpdg::core::pretrain::{pretrain, PretrainConfig};
+use cpdg::core::{ContinualConfig, ContinualTrainer, ModelFile};
 use cpdg::dgnn::{DgnnConfig, DgnnEncoder, EncoderKind, LinkPredictor};
 use cpdg::graph::loader::{load_jodie_csv, write_jodie_csv};
 use cpdg::graph::{generate, SyntheticConfig};
+use cpdg::serve::{Command, Engine, EngineConfig, Reply, TrainerRuntime};
 use cpdg::tensor::{optim::Adam, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use support::build;
+use std::path::Path;
+use std::sync::Arc;
+use support::{build, test_dir, trained_model, trainer_cfg, with_one_shape_swapped};
 
 fn tiny() -> cpdg::graph::SyntheticDataset {
     generate(
@@ -96,7 +102,7 @@ fn load_matching_transfers_encoder_but_not_new_head() {
     );
     let _new_head = LinkPredictor::new(&mut down_store, &mut rng2, "downstream_head", 8);
 
-    let copied = down_store.load_matching(&pre_store);
+    let copied = down_store.load_matching(&pre_store).expect("shapes agree");
     assert!(copied > 0, "encoder weights must transfer");
     // Every copied name exists in both; the fresh head names do not match.
     assert!(down_store.lookup("downstream_head.0.weight").is_some());
@@ -180,4 +186,73 @@ fn loaded_csv_dataset_trains_end_to_end() {
     cfg.finetune.epochs = 1;
     let res = run_link_prediction(&split, &cfg, false);
     assert!(res.auc.is_finite());
+}
+
+/// Asserts `err` refuses `path` as corrupt (exit 4), naming the swapped
+/// parameter.
+fn assert_refused(err: &CpdgError, path: &Path, param: &str) {
+    match err {
+        CpdgError::Corrupt {
+            path: named,
+            reason,
+        } => {
+            assert_eq!(named, path, "{err}");
+            assert!(reason.contains(param), "{err}");
+        }
+        other => panic!("expected Corrupt, got {other}"),
+    }
+    assert_eq!(err.exit_code(), 4);
+}
+
+#[test]
+fn a_resealed_model_with_one_parameter_shape_swapped_is_refused_as_corrupt() {
+    let dir = test_dir("shape_swap");
+    let good = trained_model(0);
+    let (params, param) = with_one_shape_swapped(&good.params);
+    let bad = ModelFile::new(
+        good.encoder_config.clone(),
+        good.num_nodes,
+        params,
+        good.checkpoints.clone(),
+    );
+    let (good_path, bad_path) = (dir.join("good.cpdg"), dir.join("bad.cpdg"));
+    good.save(&good_path).unwrap();
+    // Sealed with a valid CRC: the codec accepts the file.
+    bad.save(&bad_path).unwrap();
+    let bad = ModelFile::load(&bad_path).expect("the codec checks layout, not shapes");
+
+    let cfg = || EngineConfig::default();
+    let err = Engine::from_model_file(&bad_path, cfg(), FaultHook::none())
+        .err()
+        .expect("refused");
+    assert_refused(&err, &bad_path, &param);
+
+    // Reload, promotion and rollback keep serving the old epoch.
+    let engine = Arc::new(Engine::from_model_file(&good_path, cfg(), FaultHook::none()).unwrap());
+    let reply = engine.execute(Command::Reload {
+        path: bad_path.display().to_string(),
+    });
+    assert!(matches!(reply, Reply::Err { .. }), "{reply:?}");
+    assert_refused(
+        &engine.promote_epoch(&bad_path).unwrap_err(),
+        &bad_path,
+        &param,
+    );
+    assert_refused(
+        &engine.rollback_epoch(&bad_path).unwrap_err(),
+        &bad_path,
+        &param,
+    );
+    assert_eq!(engine.version(), 1);
+
+    // The continual trainer refuses it too.
+    let err = ContinualTrainer::from_model(&bad, &bad_path, ContinualConfig::default())
+        .err()
+        .expect("refused");
+    assert_refused(&err, &bad_path, &param);
+    let cfg = trainer_cfg(dir.join("epochs"));
+    let err = TrainerRuntime::new(Arc::clone(&engine), &bad_path, cfg)
+        .err()
+        .expect("refused");
+    assert_refused(&err, &bad_path, &param);
 }

@@ -118,6 +118,24 @@ pub fn base_model(dir: &Path) -> PathBuf {
     path
 }
 
+/// `params` with its first non-square parameter transposed: the same
+/// names and scalar count, one shape the model's config never builds.
+/// Returns the copy and the swapped name.
+pub fn with_one_shape_swapped(params: &ParamStore) -> (ParamStore, String) {
+    let mut out = ParamStore::new();
+    let mut swapped = None;
+    for id in params.ids() {
+        let (name, value) = (params.name(id), params.value(id));
+        if swapped.is_none() && value.rows() != value.cols() {
+            swapped = Some(name.to_string());
+            out.register(name, value.transpose());
+        } else {
+            out.register(name, value.clone());
+        }
+    }
+    (out, swapped.expect("a non-square parameter"))
+}
+
 // ---------------------------------------------------------------------
 // Pre-training
 // ---------------------------------------------------------------------
