@@ -121,6 +121,15 @@ impl RetryPolicy {
     }
 }
 
+/// Held by every unit test that exhausts a retry budget, so a test
+/// counting the process-global `retry.gave_up` sees only its own give-up.
+#[cfg(test)]
+pub(crate) fn budget_exhaustion_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +233,7 @@ mod tests {
 
     #[test]
     fn none_policy_is_single_attempt() {
+        let _exhausts = budget_exhaustion_lock();
         let mut calls = 0;
         let out: io::Result<()> = RetryPolicy::none().run("test.retry.none", || {
             calls += 1;
@@ -235,6 +245,7 @@ mod tests {
 
     #[test]
     fn gave_up_logs_exactly_one_error_naming_the_point() {
+        let _exhausts = budget_exhaustion_lock();
         let cap = cpdg_obs::capture();
         let before = cpdg_obs::counter!("retry.gave_up").get();
         let out: io::Result<()> = fast(3).run("test.retry.gaveup", || Err(transient()));

@@ -219,6 +219,14 @@ pub struct Wal {
     next_index: u64,
     appends_since_sync: u32,
     recovery: RecoveryStats,
+    /// The next frame, encoded into one buffer kept across appends.
+    frame: Vec<u8>,
+    /// Whether bytes may sit past `seg_len`: set before a frame is
+    /// written, cleared once the write succeeds, and set by a rollback
+    /// whose truncate or seek failed. While clear the tail file is exactly
+    /// `seg_len` bytes long with its cursor there, so an append is one
+    /// write; while set the append truncates and seeks first.
+    torn: bool,
 }
 
 fn segment_path(dir: &Path, start: u64) -> PathBuf {
@@ -232,16 +240,17 @@ fn segment_header(start: u64) -> [u8; SEGMENT_HEADER_LEN as usize] {
     h
 }
 
-/// Frames one record: `[len][crc32][index][payload]`.
-fn encode_frame(index: u64, payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + payload.len());
-    body.extend_from_slice(&index.to_le_bytes());
-    body.extend_from_slice(payload);
-    let mut frame = Vec::with_capacity(8 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&body).to_le_bytes());
-    frame.extend_from_slice(&body);
-    frame
+/// Frames one record into `frame`, replacing its contents:
+/// `[len][crc32][index][payload]`, the CRC taken over the body in place.
+fn encode_frame(frame: &mut Vec<u8>, index: u64, payload: &[u8]) {
+    let header = FRAME_HEADER_LEN as usize;
+    frame.clear();
+    frame.extend_from_slice(&((8 + payload.len()) as u32).to_le_bytes());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(&index.to_le_bytes());
+    frame.extend_from_slice(payload);
+    let crc = crc32(&frame[header..]);
+    frame[4..header].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Outcome of scanning one segment's frames.
@@ -517,6 +526,8 @@ impl Wal {
             next_index,
             appends_since_sync: 0,
             recovery: stats,
+            frame: Vec::new(),
+            torn: false,
         })
     }
 
@@ -566,19 +577,24 @@ impl Wal {
     /// to resurrect.
     pub fn append(&mut self, payload: &[u8]) -> CpdgResult<u64> {
         let index = self.next_index;
-        let frame = encode_frame(index, payload);
+        encode_frame(&mut self.frame, index, payload);
         let pre_len = self.seg_len;
         let retry = self.config.retry;
 
         let write = {
-            let file = &mut self.file;
-            let hook = &self.hook;
+            let (file, hook, frame, torn) =
+                (&mut self.file, &self.hook, &self.frame, &mut self.torn);
             retry.run(FaultPoint::WalAppend.name(), || {
                 hook.check(FaultPoint::WalAppend).map_err(Fault::into_io)?;
-                // A prior torn attempt is undone before re-writing.
-                file.set_len(pre_len)?;
-                file.seek(SeekFrom::Start(pre_len))?;
-                file.write_all(&frame)?;
+                // Bytes a torn attempt or a failed rollback left past the
+                // tail are cut before the frame goes down.
+                if *torn {
+                    file.set_len(pre_len)?;
+                    file.seek(SeekFrom::Start(pre_len))?;
+                }
+                *torn = true;
+                file.write_all(frame)?;
+                *torn = false;
                 Ok(())
             })
         };
@@ -621,7 +637,7 @@ impl Wal {
             self.appends_since_sync += 1;
         }
 
-        self.seg_len = pre_len + frame.len() as u64;
+        self.seg_len = pre_len + self.frame.len() as u64;
         self.next_index = index + 1;
         cpdg_obs::counter!("wal.appends").inc();
         if self.seg_len >= self.config.segment_bytes {
@@ -630,12 +646,23 @@ impl Wal {
         Ok(index)
     }
 
-    /// Best-effort restoration of the pre-append segment length after a
-    /// failed append. A failure here leaves a torn tail — exactly what
-    /// the open scan truncates away.
+    /// Restores the pre-append segment length and cursor after a failed
+    /// append. A failure here leaves a torn tail: the next append cuts it
+    /// first, and a crash before then leaves it to the open scan.
     fn rollback(&mut self, pre_len: u64) {
-        let _ = self.file.set_len(pre_len);
-        let _ = self.file.seek(SeekFrom::Start(pre_len));
+        let restored = self
+            .file
+            .set_len(pre_len)
+            .and_then(|()| self.file.seek(SeekFrom::Start(pre_len)));
+        self.torn = restored.is_err();
+        if let Err(e) = restored {
+            cpdg_obs::warn!(
+                "core.wal",
+                "failed to roll back WAL tail";
+                path = self.seg_path.display().to_string(),
+                error = e.to_string(),
+            );
+        }
     }
 
     /// Seals the open tail (final fsync), publishes its replica copies,
@@ -939,6 +966,101 @@ mod tests {
         }
         // Replay from an offset skips the covered prefix.
         assert_eq!(collect(&wal, 3).len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned_for_a_fixed_record() {
+        let expected: [u8; 34] = [
+            0x1a, 0x00, 0x00, 0x00, 0x1c, 0x9c, 0x1b, 0xbd, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x08, 0x40, 0x04, 0x00,
+        ];
+        let payload = encode_event(1, 2, 3.0, 4);
+        // The reused buffer is replaced, not appended to.
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, 9, &[0xAA; 40]);
+        encode_frame(&mut frame, 5, &payload);
+        assert_eq!(frame, expected);
+        // The same bytes land on disk for record 5 of a fresh log.
+        let dir = test_dir("frame_bytes");
+        let mut wal = Wal::open(&dir, fast_config(), FaultHook::none()).unwrap();
+        for _ in 0..6 {
+            wal.append(&payload).unwrap();
+        }
+        let bytes = std::fs::read(segment_path(&dir, 0)).unwrap();
+        let at = SEGMENT_HEADER_LEN as usize + 5 * expected.len();
+        assert_eq!(&bytes[at..], &expected[..]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn segment_files_hold_exactly_the_tracked_bytes() {
+        let dir = test_dir("tracked_bytes");
+        let config = WalConfig {
+            segment_bytes: 64,
+            ..fast_config()
+        };
+        let on_disk = |dir: &Path| -> u64 {
+            std::fs::read_dir(dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
+                .map(|e| e.metadata().unwrap().len())
+                .sum()
+        };
+        let mut wal = Wal::open(&dir, config, FaultHook::none()).unwrap();
+        let records: Vec<Vec<u8>> = (0u8..10).map(|i| vec![i; 16 + i as usize]).collect();
+        for (i, payload) in records.iter().enumerate() {
+            assert_eq!(wal.append(payload).unwrap(), i as u64);
+            let tail = std::fs::metadata(&wal.seg_path).unwrap().len();
+            assert_eq!(tail, wal.seg_len, "tail segment after record {i}");
+            assert_eq!(on_disk(&dir), wal.total_bytes(), "log after record {i}");
+        }
+        assert!(wal.segment_count() > 3, "64-byte segments must rotate");
+        drop(wal);
+        let wal = Wal::open(&dir, config, FaultHook::none()).unwrap();
+        assert_eq!(wal.recovery_stats().truncated_bytes, 0);
+        let expected: Vec<(u64, Vec<u8>)> = records
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (i as u64, p))
+            .collect();
+        assert_eq!(collect(&wal, 0), expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_before_the_next_append() {
+        let dir = test_dir("torn_flag");
+        let mut wal = Wal::open(&dir, fast_config(), FaultHook::none()).unwrap();
+        assert_eq!(wal.append(b"first").unwrap(), 0);
+        // A rolled-back record and a ghost after it, left on disk past the
+        // tail as a failed rollback would leave them.
+        let mut stale = Vec::new();
+        for (index, payload) in [(1, b"rejected"), (2, b"ghost!!!")] {
+            encode_frame(&mut wal.frame, index, payload);
+            stale.extend_from_slice(&wal.frame);
+        }
+        OpenOptions::new()
+            .append(true)
+            .open(&wal.seg_path)
+            .unwrap()
+            .write_all(&stale)
+            .unwrap();
+        wal.torn = true;
+        assert_eq!(wal.append(b"second!!").unwrap(), 1);
+        assert!(!wal.torn);
+        let tail = std::fs::metadata(&wal.seg_path).unwrap().len();
+        assert_eq!(tail, wal.seg_len, "the stale bytes are gone");
+        drop(wal);
+        let wal = Wal::open(&dir, fast_config(), FaultHook::none()).unwrap();
+        assert_eq!(wal.recovery_stats().truncated_bytes, 0);
+        assert_eq!(
+            collect(&wal, 0),
+            vec![(0, b"first".to_vec()), (1, b"second!!".to_vec())],
+            "only acknowledged records replay"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
