@@ -41,6 +41,10 @@ pub enum FaultPoint {
     /// One WAL fsync per the configured policy (a fired fault rolls the
     /// segment back to its pre-append length — exactly-once semantics).
     WalFsync,
+    /// One WAL segment rotation, run by the append that finds the tail
+    /// full before any of its frame bytes are written (a fired fault
+    /// rejects that event and keeps the full tail open, unsealed).
+    WalRotate,
     /// One WAL record visited during startup replay (a fired permanent
     /// fault aborts recovery with a typed error).
     WalReplay,
@@ -75,7 +79,7 @@ pub enum FaultPoint {
 
 impl FaultPoint {
     /// Every fault point, in catalogue order.
-    pub const ALL: [FaultPoint; 20] = [
+    pub const ALL: [FaultPoint; 21] = [
         FaultPoint::StorageWrite,
         FaultPoint::StorageRead,
         FaultPoint::LoaderRow,
@@ -88,6 +92,7 @@ impl FaultPoint {
         FaultPoint::ServeReload,
         FaultPoint::WalAppend,
         FaultPoint::WalFsync,
+        FaultPoint::WalRotate,
         FaultPoint::WalReplay,
         FaultPoint::ServeWorker,
         FaultPoint::TrainerStep,
@@ -114,6 +119,7 @@ impl FaultPoint {
             FaultPoint::ServeReload => "serve.reload",
             FaultPoint::WalAppend => "wal.append",
             FaultPoint::WalFsync => "wal.fsync",
+            FaultPoint::WalRotate => "wal.rotate",
             FaultPoint::WalReplay => "wal.replay",
             FaultPoint::ServeWorker => "serve.worker",
             FaultPoint::TrainerStep => "trainer.step",

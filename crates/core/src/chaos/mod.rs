@@ -8,7 +8,7 @@
 //!   `sampler.batch`, `memory.update`, `ckpt.save`, `ckpt.load`, the
 //!   serving points `serve.accept`/`serve.infer`/`serve.reload`/
 //!   `serve.worker`, and the durability points
-//!   `wal.append`/`wal.fsync`/`wal.replay`) and *when* (nth-hit,
+//!   `wal.append`/`wal.fsync`/`wal.rotate`/`wal.replay`) and *when* (nth-hit,
 //!   every-k, seeded probability) to raise typed transient or permanent
 //!   faults. Plans serialise to JSON so a chaos run is reproducible from
 //!   a `--chaos-plan` file.

@@ -54,7 +54,8 @@
 //! flushing to the OS page cache — fastest, weakest).
 //!
 //! Chaos integration: appends consult the `wal.append` and `wal.fsync`
-//! fault points, replay consults `wal.replay`; transient faults are
+//! fault points, the rotation that seals a full tail consults
+//! `wal.rotate`, and replay consults `wal.replay`; transient faults are
 //! absorbed by the configured [`RetryPolicy`], permanent ones surface as
 //! [`CpdgError::Fault`].
 
@@ -574,8 +575,16 @@ impl Wal {
     /// (to the degree the [`FsyncPolicy`] guarantees) when this returns
     /// `Ok`; on *any* failure the segment is rolled back to its
     /// pre-append length, so a failed append leaves no trace for replay
-    /// to resurrect.
+    /// to resurrect. A tail that reached the segment size is sealed first
+    /// (rotated), before any byte of the frame is written, so a
+    /// failed rotation fails an append that wrote nothing.
     pub fn append(&mut self, payload: &[u8]) -> CpdgResult<u64> {
+        if self.seg_len >= self.config.segment_bytes && self.next_index > self.seg_start {
+            if let Err(e) = self.rotate() {
+                cpdg_obs::counter!("wal.append_failures").inc();
+                return Err(e);
+            }
+        }
         let index = self.next_index;
         encode_frame(&mut self.frame, index, payload);
         let pre_len = self.seg_len;
@@ -640,9 +649,6 @@ impl Wal {
         self.seg_len = pre_len + self.frame.len() as u64;
         self.next_index = index + 1;
         cpdg_obs::counter!("wal.appends").inc();
-        if self.seg_len >= self.config.segment_bytes {
-            self.rotate()?;
-        }
         Ok(index)
     }
 
@@ -665,30 +671,42 @@ impl Wal {
         }
     }
 
-    /// Seals the open tail (final fsync), publishes its replica copies,
-    /// and starts a fresh segment.
+    /// Seals the open tail (final fsync) and opens a fresh segment after
+    /// it, consulting the `wal.rotate` fault point. Only once the new
+    /// segment's header is synced are the old tail's replicas published
+    /// and the tail listed as sealed; on failure the old tail stays open
+    /// and unlisted, and the next append tries again. Only a successful
+    /// append fills a tail, so no torn bytes lie past the one sealed here.
     fn rotate(&mut self) -> CpdgResult<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| CpdgError::io(&self.seg_path, e))?;
+        let start = self.next_index;
+        let path = segment_path(&self.dir, start);
+        let opened = {
+            let (file, hook) = (&self.file, &self.hook);
+            self.config.retry.run(FaultPoint::WalRotate.name(), || {
+                hook.check(FaultPoint::WalRotate).map_err(Fault::into_io)?;
+                file.sync_data()?;
+                let mut next = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .create(true)
+                    .truncate(true)
+                    .open(&path)?;
+                next.write_all(&segment_header(start))?;
+                next.sync_data()?;
+                Ok(next)
+            })
+        };
+        let file = opened.map_err(|e| CpdgError::Fault {
+            point: FaultPoint::WalRotate.name().to_string(),
+            reason: format!("{}: {e}", path.display()),
+        })?;
         crate::scrub::publish_replicas(&crate::FS_STORAGE, &self.seg_path);
         self.sealed.push(SegmentInfo {
             path: self.seg_path.clone(),
             start: self.seg_start,
-            end: self.next_index,
+            end: start,
             bytes: self.seg_len,
         });
-        let path = segment_path(&self.dir, self.next_index);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| CpdgError::io(&path, e))?;
-        file.write_all(&segment_header(self.next_index))
-            .map_err(|e| CpdgError::io(&path, e))?;
-        file.sync_data().map_err(|e| CpdgError::io(&path, e))?;
         cpdg_obs::info!(
             "core.wal",
             "rotated WAL segment";
@@ -696,7 +714,7 @@ impl Wal {
             next = path.display().to_string(),
         );
         self.seg_path = path;
-        self.seg_start = self.next_index;
+        self.seg_start = start;
         self.seg_len = SEGMENT_HEADER_LEN;
         self.file = file;
         self.appends_since_sync = 0;
@@ -1099,6 +1117,58 @@ mod tests {
         let wal = Wal::open(&dir, config, FaultHook::none()).unwrap();
         assert_eq!(wal.next_index(), 10);
         assert_eq!(collect(&wal, 0).len(), 10);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_rotation_fails_an_append_that_wrote_nothing() {
+        let dir = test_dir("rotate_blocked");
+        let config = WalConfig {
+            segment_bytes: 64,
+            ..fast_config()
+        };
+        let mut wal = Wal::open(&dir, config, FaultHook::none()).unwrap();
+        // Two 34-byte event frames fill the first segment (16 + 68 ≥ 64),
+        // so record 2 opens the next one, whose path is taken.
+        let blocker = segment_path(&dir, 2);
+        std::fs::create_dir(&blocker).unwrap();
+        for i in 0..2 {
+            let appended = wal.append(&encode_event(i, i + 1, f64::from(i), 0));
+            assert_eq!(appended.unwrap(), u64::from(i), "record {i} fits the tail");
+        }
+        let err = wal.append(&encode_event(9, 9, 9.0, 0)).unwrap_err();
+        assert!(
+            matches!(err, CpdgError::Fault { ref point, .. } if point == "wal.rotate"),
+            "{err}"
+        );
+        assert_eq!(wal.next_index(), 2, "the rejected record took no index");
+        assert_eq!(
+            wal.segment_count(),
+            1,
+            "the open tail is not listed as sealed"
+        );
+        assert_eq!(
+            std::fs::metadata(segment_path(&dir, 0)).unwrap().len(),
+            16 + 2 * 34,
+            "no frame byte of the rejected record was written"
+        );
+        // Once the path clears, the next append rotates and lands.
+        std::fs::remove_dir(&blocker).unwrap();
+        let appended = wal.append(&encode_event(2, 3, 2.0, 0)).unwrap();
+        assert_eq!(appended, 2);
+        assert_eq!(wal.segment_count(), 2);
+        drop(wal);
+        let wal = Wal::open(&dir, config, FaultHook::none()).unwrap();
+        let replayed: Vec<(u64, Vec<u8>)> = collect(&wal, 0);
+        let want: Vec<(u64, Vec<u8>)> = (0..3)
+            .map(|i| {
+                (
+                    u64::from(i),
+                    encode_event(i, i + 1, f64::from(i), 0).to_vec(),
+                )
+            })
+            .collect();
+        assert_eq!(replayed, want, "the rejected record never replays");
         std::fs::remove_dir_all(&dir).ok();
     }
 

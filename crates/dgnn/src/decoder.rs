@@ -2,7 +2,7 @@
 //! dynamic node classifier.
 
 use cpdg_tensor::nn::{Activation, Mlp};
-use cpdg_tensor::{Forward, ParamStore, Var};
+use cpdg_tensor::{Forward, Matrix, ParamStore, Var};
 use rand::Rng;
 
 /// Link-prediction head: `ŷ_{ij} = σ(MLP(z_i ‖ z_j))` (Eq. 15). The head
@@ -35,6 +35,24 @@ impl LinkPredictor {
         z_dst: Var,
     ) -> Var {
         let cat = ev.concat_cols(z_src, z_dst);
+        self.mlp.forward(ev, store, cat)
+    }
+
+    /// [`LinkPredictor::score`] of one pair given as the `2 × dim` rows
+    /// `[z_src; z_dst]`, returning a `1 × 1` logit. Row-major storage makes
+    /// those rows the `1 × 2·dim` row `[z_src ‖ z_dst]` that `score`
+    /// concatenates, so the pair is taken as that row with no copy.
+    ///
+    /// # Panics
+    /// Panics unless `pair` is `2 × dim`.
+    pub fn score_pair<'s>(
+        &self,
+        ev: &mut impl Forward<'s>,
+        store: &'s ParamStore,
+        pair: Matrix,
+    ) -> Var {
+        assert_eq!(pair.shape(), (2, self.dim()), "score_pair: need 2 × dim");
+        let cat = ev.constant(Matrix::from_vec(1, pair.len(), pair.into_data()));
         self.mlp.forward(ev, store, cat)
     }
 

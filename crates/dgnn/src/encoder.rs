@@ -50,7 +50,6 @@ use cpdg_graph::{DynamicGraph, Interaction, NodeId, Timestamp};
 use cpdg_tensor::nn::{GruCell, Linear, LstmCell, Mlp, NeighborAttention, RnnCell, TimeEncoder};
 use cpdg_tensor::{Eval, Forward, Matrix, ParamId, ParamStore, Var};
 use rand::Rng;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// A pending raw message: `receiver` hears about an interaction with
@@ -65,12 +64,20 @@ struct RawMessage {
 /// The nodes a pending application updates, in row order.
 #[derive(Debug, Default)]
 struct DirtyRows {
-    /// Dirty node → row of the updated states.
-    row_of: HashMap<NodeId, usize>,
+    /// `(dirty node, row of its updated state)`, sorted by node.
+    row_of: Vec<(NodeId, usize)>,
     /// Dirty nodes in row order.
     nodes: Vec<NodeId>,
     /// Last message time per dirty node (row order).
     times: Vec<Timestamp>,
+}
+
+impl DirtyRows {
+    /// The row of `node`'s updated state, if it is dirty.
+    fn row(&self, node: NodeId) -> Option<usize> {
+        let i = self.row_of.binary_search_by_key(&node, |&(n, _)| n).ok()?;
+        Some(self.row_of[i].1)
+    }
 }
 
 /// Per-batch artifacts produced by [`DgnnEncoder::apply_pending`].
@@ -89,11 +96,11 @@ impl BatchContext {
         &self.dirty.nodes
     }
 
-    /// The updated states as plain values, read off the evaluator `ev`.
-    pub fn into_states<'s>(self, ev: &impl Forward<'s>) -> PendingStates {
+    /// The updated states as plain values, each handed back by `value`.
+    fn into_states(self, mut value: impl FnMut(Var) -> Matrix) -> PendingStates {
         PendingStates {
-            states: self.new_states.map(|v| ev.value(v).clone()),
-            cells: self.new_cells.map(|v| ev.value(v).clone()),
+            states: self.new_states.map(&mut value),
+            cells: self.new_cells.map(value),
             dirty: self.dirty,
         }
     }
@@ -394,41 +401,46 @@ impl DgnnEncoder {
             });
         }
 
-        // Dirty nodes in first-seen order; per-node message row lists.
-        let mut row_of: HashMap<NodeId, usize> = HashMap::new();
-        let mut nodes: Vec<NodeId> = Vec::new();
-        let mut per_node_msgs: Vec<Vec<usize>> = Vec::new();
+        // Dirty nodes in first-seen order, and the last (most recent:
+        // messages are chronological) message of each.
+        let mut dirty = DirtyRows {
+            row_of: Vec::with_capacity(msgs.len()),
+            nodes: Vec::with_capacity(msgs.len()),
+            times: Vec::new(),
+        };
+        let mut last: Vec<usize> = Vec::with_capacity(msgs.len());
         for (mi, m) in msgs.iter().enumerate() {
-            let row = *row_of.entry(m.receiver).or_insert_with(|| {
-                nodes.push(m.receiver);
-                per_node_msgs.push(Vec::new());
-                nodes.len() - 1
-            });
-            per_node_msgs[row].push(mi);
+            match dirty.row_of.binary_search_by_key(&m.receiver, |&(n, _)| n) {
+                Ok(i) => last[dirty.row_of[i].1] = mi,
+                Err(i) => {
+                    dirty.row_of.insert(i, (m.receiver, dirty.nodes.len()));
+                    dirty.nodes.push(m.receiver);
+                    last.push(mi);
+                }
+            }
         }
+        dirty.times = last.iter().map(|&mi| msgs[mi].t).collect();
 
         // Raw message features: [h_recv ‖ h_other ‖ φ(Δt_recv)] where
         // h_i = s_i + e_i (memory state plus static identity embedding).
         let table = ev.param(store, self.node_embed);
         let recv_idx: Vec<usize> = msgs.iter().map(|m| m.receiver as usize).collect();
         let other_idx: Vec<usize> = msgs.iter().map(|m| m.other as usize).collect();
-        let recv_mem = ev.constant(
-            self.memory
-                .gather(&msgs.iter().map(|m| m.receiver).collect::<Vec<_>>()),
-        );
-        let other_mem = ev.constant(
-            self.memory
-                .gather(&msgs.iter().map(|m| m.other).collect::<Vec<_>>()),
-        );
+        let recv_mem = ev.constant(self.memory.states().gather_rows(&recv_idx));
+        let other_mem = ev.constant(self.memory.states().gather_rows(&other_idx));
         let recv_emb = ev.gather_rows(table, &recv_idx);
         let other_emb = ev.gather_rows(table, &other_idx);
-        let recv_states = ev.add(recv_mem, recv_emb);
-        let other_states = ev.add(other_mem, other_emb);
+        // DyRep's message attention queries with `recv_mem` below.
+        let recv_states = match self.cfg.msg {
+            MsgKind::Attention => ev.add(recv_mem, recv_emb),
+            _ => ev.add_in_place(recv_mem, recv_emb),
+        };
+        let other_states = ev.add_in_place(other_mem, other_emb);
         let dts: Vec<f32> = msgs
             .iter()
             .map(|m| self.scaled_dt(m.t - self.memory.last_update(m.receiver)))
             .collect();
-        let phi = self.time_enc.encode_slice(ev, store, &dts);
+        let phi = self.time_enc.encode(ev, store, dts);
         let pair = ev.concat_cols(recv_states, other_states);
         let raw = ev.concat_cols(pair, phi);
 
@@ -454,22 +466,19 @@ impl DgnnEncoder {
 
         // Agg(·): one aggregated message row per dirty node.
         let agg = match self.cfg.agg {
-            AggKind::LastTime => {
-                // Messages are chronological within the pending list, so the
-                // last index per node is its most recent message.
-                let last: Vec<usize> = per_node_msgs
-                    .iter()
-                    .map(|rows| *rows.last().expect("non-empty"))
-                    .collect();
-                ev.gather_rows(msg, &last)
-            }
+            AggKind::LastTime => ev.gather_rows(msg, &last),
             AggKind::Mean => {
-                let mut avg = Matrix::zeros(nodes.len(), msgs.len());
-                for (row, mrows) in per_node_msgs.iter().enumerate() {
-                    let w = 1.0 / mrows.len() as f32;
-                    for &mi in mrows {
-                        avg.set(row, mi, w);
-                    }
+                let rows: Vec<usize> = msgs
+                    .iter()
+                    .map(|m| dirty.row(m.receiver).expect("every receiver is dirty"))
+                    .collect();
+                let mut counts = vec![0usize; dirty.nodes.len()];
+                for &row in &rows {
+                    counts[row] += 1;
+                }
+                let mut avg = Matrix::zeros(dirty.nodes.len(), msgs.len());
+                for (mi, &row) in rows.iter().enumerate() {
+                    avg.set(row, mi, 1.0 / counts[row] as f32);
                 }
                 let avg = ev.constant(avg);
                 ev.matmul(avg, msg)
@@ -477,7 +486,7 @@ impl DgnnEncoder {
         };
 
         // Mem(·): update from previous states.
-        let prev = ev.constant(self.memory.gather(&nodes));
+        let prev = ev.constant(self.memory.gather(&dirty.nodes));
         let (new_states, new_cells) = match self.cfg.mem {
             MemKind::Gru => (
                 self.mem_gru
@@ -495,7 +504,7 @@ impl DgnnEncoder {
             ),
             MemKind::Lstm => {
                 let cells = self.cell_state.as_ref().expect("lstm cell store");
-                let idx: Vec<usize> = nodes.iter().map(|&n| n as usize).collect();
+                let idx: Vec<usize> = dirty.nodes.iter().map(|&n| n as usize).collect();
                 let c_prev = ev.constant(cells.gather_rows(&idx));
                 let (h, c) = self
                     .mem_lstm
@@ -506,17 +515,8 @@ impl DgnnEncoder {
             }
         };
 
-        let times: Vec<Timestamp> = per_node_msgs
-            .iter()
-            .map(|rows| msgs[*rows.last().expect("non-empty")].t)
-            .collect();
-
         BatchContext {
-            dirty: DirtyRows {
-                row_of,
-                nodes,
-                times,
-            },
+            dirty,
             new_states: Some(new_states),
             new_cells,
         }
@@ -551,10 +551,12 @@ impl DgnnEncoder {
         attn.forward_rows(ev, store, queries, kv, &segments)
     }
 
-    /// [`DgnnEncoder::apply_pending`] on an [`Eval`], keeping the values.
+    /// [`DgnnEncoder::apply_pending`] on an [`Eval`], the states moved out
+    /// of it.
     pub fn pending_states(&self, store: &ParamStore, graph: &DynamicGraph) -> PendingStates {
         let mut ev = Eval::new();
-        self.apply_pending(&mut ev, store, graph).into_states(&ev)
+        let ctx = self.apply_pending(&mut ev, store, graph);
+        ctx.into_states(|v| ev.take(v))
     }
 
     /// Plain-value representation `h_i = s_i + e_i` for a set of nodes —
@@ -598,9 +600,10 @@ impl DgnnEncoder {
     }
 
     /// [`DgnnEncoder::embed_many`] on an [`Eval`] over the applied
-    /// `pending` states: the serving forward, `m × dim`. The deadline is
-    /// checked once per query, before its rows are listed; on expiry it
-    /// returns [`DeadlineExceeded`] having touched no encoder state.
+    /// `pending` states, mounted by reference: the serving forward,
+    /// `m × dim`, moved out of the evaluator. The deadline is checked once
+    /// per query, before its rows are listed; on expiry it returns
+    /// [`DeadlineExceeded`] having touched no encoder state.
     pub fn infer_rows(
         &self,
         store: &ParamStore,
@@ -613,14 +616,11 @@ impl DgnnEncoder {
         let plan = self.plan_rows(graph, nodes, times, deadline)?;
         let mut ev = Eval::new();
         // Rows that read no dirty node read the same memory rows either way.
-        let reads_pending = plan
-            .rows
-            .iter()
-            .any(|n| pending.dirty.row_of.contains_key(n));
+        let reads_pending = plan.rows.iter().any(|&n| pending.dirty.row(n).is_some());
         let states = pending.states.as_ref().filter(|_| reads_pending);
-        let states = states.map(|s| ev.constant(s.clone()));
+        let states = states.map(|s| ev.mount(s));
         let z = self.embed_plan(&mut ev, store, &pending.dirty, states, plan);
-        Ok(ev.value(z).clone())
+        Ok(ev.take(z))
     }
 
     /// The embedding forward over the rows `plan` lists, reading the
@@ -641,10 +641,10 @@ impl DgnnEncoder {
                 let w = ev.param(store, self.jodie_w.expect("jodie w"));
                 let proj = ev.matmul(dtv, w);
                 let gate = ev.add_scalar(proj, 1.0);
-                ev.mul(h, gate)
+                ev.mul_in_place(h, gate)
             }
             EmbedKind::Attention => {
-                let phi = self.time_enc.encode_slice(ev, store, &plan.dts);
+                let phi = self.time_enc.encode(ev, store, plan.dts);
                 let kv = ev.concat_cols(h, phi);
                 let starts: Vec<usize> = plan.segments.iter().map(|seg| seg.start).collect();
                 let q = ev.gather_rows(kv, &starts);
@@ -674,10 +674,10 @@ impl DgnnEncoder {
                 let mut clean: Vec<NodeId> = Vec::with_capacity(nodes.len());
                 let idx: Vec<usize> = nodes
                     .iter()
-                    .map(|node| match dirty.row_of.get(node) {
-                        Some(&row) => row,
+                    .map(|&node| match dirty.row(node) {
+                        Some(row) => row,
                         None => {
-                            clean.push(*node);
+                            clean.push(node);
                             n_fresh + clean.len() - 1
                         }
                     })
@@ -694,7 +694,7 @@ impl DgnnEncoder {
         let table = ev.param(store, self.node_embed);
         let ids: Vec<usize> = nodes.iter().map(|&n| n as usize).collect();
         let e = ev.gather_rows(table, &ids);
-        ev.add(s, e)
+        ev.add_in_place(s, e)
     }
 
     /// Lists the rows an embedding call reads, in stack order: each queried
@@ -710,10 +710,16 @@ impl DgnnEncoder {
     ) -> Result<RowPlan, DeadlineExceeded> {
         assert_eq!(nodes.len(), times.len(), "embedding: length mismatch");
         assert!(!nodes.is_empty(), "embedding: empty batch");
+        // Room for every row, Δt and segment a query can list.
+        let (per_query, dts, segments) = match self.cfg.embed {
+            EmbedKind::Identity => (1, 0, 0),
+            EmbedKind::TimeProjection => (1, 1, 0),
+            EmbedKind::Attention => (1 + self.cfg.n_neighbors, 1 + self.cfg.n_neighbors, 1),
+        };
         let mut plan = RowPlan {
-            rows: Vec::with_capacity(nodes.len()),
-            dts: Vec::with_capacity(nodes.len()),
-            segments: Vec::new(),
+            rows: Vec::with_capacity(nodes.len() * per_query),
+            dts: Vec::with_capacity(nodes.len() * dts),
+            segments: Vec::with_capacity(nodes.len() * segments),
         };
         for (&n, &t) in nodes.iter().zip(times) {
             deadline.check()?;
@@ -741,7 +747,7 @@ impl DgnnEncoder {
     /// Persists the batch's updated states, read off `ev`, into memory
     /// (detached) and queues `batch` as the next pending messages.
     pub fn commit<'s>(&mut self, ev: &impl Forward<'s>, ctx: BatchContext, batch: &[Interaction]) {
-        self.commit_states(ctx.into_states(ev), batch);
+        self.commit_states(ctx.into_states(|v| ev.value(v).clone()), batch);
     }
 
     /// Persists applied pending states into memory and queues `batch` as
@@ -755,11 +761,7 @@ impl DgnnEncoder {
         } = states;
         if let Some(values) = states {
             for (row, (&node, &t)) in dirty.nodes.iter().zip(&dirty.times).enumerate() {
-                self.memory.write_rows(
-                    &[node],
-                    &Matrix::from_vec(1, self.cfg.dim, values.row(row).to_vec()),
-                    t,
-                );
+                self.memory.write_row(node, values.row(row), t);
             }
         }
         if let (Some(values), Some(cells)) = (cells, self.cell_state.as_mut()) {
@@ -993,8 +995,8 @@ mod tests {
         t: Timestamp,
     ) -> Var {
         let state = |tape: &mut Tape, n: NodeId| {
-            let s = match (ctx.dirty.row_of.get(&n), ctx.new_states) {
-                (Some(&row), Some(states)) => tape.gather_rows(states, &[row]),
+            let s = match (ctx.dirty.row(n), ctx.new_states) {
+                (Some(row), Some(states)) => tape.gather_rows(states, &[row]),
                 _ => tape.constant(Matrix::from_vec(
                     1,
                     enc.cfg.dim,
@@ -1017,14 +1019,14 @@ mod tests {
                 tape.mul(h, gate)
             }
             EmbedKind::Attention => {
-                let phi0 = enc.time_enc.encode_slice(tape, store, &[0.0]);
+                let phi0 = enc.time_enc.encode(tape, store, vec![0.0]);
                 let q = tape.concat_cols(h, phi0);
                 let mut kv = q;
                 for nb in graph.recent_neighbors(node, t, enc.cfg.n_neighbors) {
                     let su = state(tape, nb.neighbor);
                     let phi = enc
                         .time_enc
-                        .encode_slice(tape, store, &[enc.scaled_dt(t - nb.t)]);
+                        .encode(tape, store, vec![enc.scaled_dt(t - nb.t)]);
                     let row = tape.concat_cols(su, phi);
                     kv = tape.stack_rows(&[kv, row]);
                 }

@@ -4,7 +4,7 @@
 //! over `[0, t]`, initialised to zero for newly encountered nodes (§V-C) and
 //! updated by the Message → Aggregate → Update pipeline. Values here are
 //! *plain* matrices: within a training batch the updated states live on the
-//! autodiff tape, and [`Memory::write_rows`] persists them (detached) after
+//! autodiff tape, and [`Memory::write_row`] persists them (detached) after
 //! the optimiser step — the standard TGN cross-batch detachment.
 //!
 //! [`Memory::snapshot`] captures checkpoints for the paper's Evolution
@@ -81,10 +81,14 @@ impl Memory {
         self.states.row(node as usize)
     }
 
-    /// Gathers the states of `nodes` into an `m × dim` matrix.
+    /// Gathers the states of `nodes` into an `m × dim` matrix, copying each
+    /// row straight into it.
     pub fn gather(&self, nodes: &[NodeId]) -> Matrix {
-        let idx: Vec<usize> = nodes.iter().map(|&n| n as usize).collect();
-        self.states.gather_rows(&idx)
+        let mut data = Vec::with_capacity(nodes.len() * self.dim());
+        for &n in nodes {
+            data.extend_from_slice(self.state_row(n));
+        }
+        Matrix::from_vec(nodes.len(), self.dim(), data)
     }
 
     /// Last time each node's state was updated (0 before first update).
@@ -92,18 +96,14 @@ impl Memory {
         self.last_update[node as usize]
     }
 
-    /// Writes new state rows for `nodes` and stamps their update time.
+    /// Writes `node`'s new state row and stamps its update time.
     ///
     /// # Panics
-    /// Panics when `values` is not `nodes.len() × dim`.
-    pub fn write_rows(&mut self, nodes: &[NodeId], values: &Matrix, t: Timestamp) {
-        assert_eq!(values.rows(), nodes.len(), "write_rows: row count mismatch");
-        assert_eq!(values.cols(), self.dim(), "write_rows: width mismatch");
-        cpdg_obs::counter!("memory.updates").add(nodes.len() as u64);
-        for (r, &node) in nodes.iter().enumerate() {
-            self.states.set_row(node as usize, values.row(r));
-            self.last_update[node as usize] = t;
-        }
+    /// Panics when `values` is not `dim` wide.
+    pub fn write_row(&mut self, node: NodeId, values: &[f32], t: Timestamp) {
+        cpdg_obs::counter!("memory.updates").inc();
+        self.states.set_row(node as usize, values);
+        self.last_update[node as usize] = t;
     }
 
     /// Resets all states to zero and clears update times (fresh encoder).
@@ -169,8 +169,9 @@ mod tests {
                 rows.set(r, c, if r == 0 && c == 0 { big } else { 1.0 });
             }
         }
-        let ids: Vec<NodeId> = (0..nodes as NodeId).collect();
-        m.write_rows(&ids, &rows, 1.0);
+        for node in 0..nodes {
+            m.write_row(node as NodeId, rows.row(node), 1.0);
+        }
 
         let n = (nodes * dim) as f64;
         let exact = ((f64::from(big) * f64::from(big) + (n - 1.0)) / n).sqrt() as f32;
@@ -194,11 +195,8 @@ mod tests {
         // a perfectly representable 2e19.
         let mut m = Memory::new(2, 2);
         let huge = 2.0e19f32;
-        m.write_rows(
-            &[0, 1],
-            &Matrix::from_rows(&[&[huge, huge], &[huge, huge]]),
-            1.0,
-        );
+        m.write_row(0, &[huge, huge], 1.0);
+        m.write_row(1, &[huge, huge], 1.0);
         let f32_squares: f32 = m.states.data().iter().map(|&x| x * x).sum();
         assert_eq!(f32_squares, f32::INFINITY, "f32 squares saturate");
         assert!(
@@ -211,11 +209,8 @@ mod tests {
     #[test]
     fn write_and_gather() {
         let mut m = Memory::new(4, 2);
-        m.write_rows(
-            &[1, 3],
-            &Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]),
-            5.0,
-        );
+        m.write_row(1, &[1.0, 2.0], 5.0);
+        m.write_row(3, &[3.0, 4.0], 5.0);
         assert_eq!(m.state_row(1), &[1.0, 2.0]);
         assert_eq!(m.state_row(3), &[3.0, 4.0]);
         assert_eq!(m.state_row(0), &[0.0, 0.0]);
@@ -228,9 +223,9 @@ mod tests {
     #[test]
     fn snapshot_is_decoupled() {
         let mut m = Memory::new(2, 2);
-        m.write_rows(&[0], &Matrix::from_rows(&[&[1.0, 1.0]]), 1.0);
+        m.write_row(0, &[1.0, 1.0], 1.0);
         let snap = m.snapshot(0.5);
-        m.write_rows(&[0], &Matrix::from_rows(&[&[9.0, 9.0]]), 2.0);
+        m.write_row(0, &[9.0, 9.0], 2.0);
         assert_eq!(
             snap.states.row(0),
             &[1.0, 1.0],
@@ -242,7 +237,8 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut m = Memory::new(2, 2);
-        m.write_rows(&[0, 1], &Matrix::ones(2, 2), 3.0);
+        m.write_row(0, &[1.0, 1.0], 3.0);
+        m.write_row(1, &[1.0, 1.0], 3.0);
         assert!(m.rms() > 0.0);
         m.reset();
         assert_eq!(m.rms(), 0.0);
@@ -253,6 +249,6 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn write_rejects_bad_width() {
         let mut m = Memory::new(2, 3);
-        m.write_rows(&[0], &Matrix::ones(1, 2), 1.0);
+        m.write_row(0, &[1.0, 1.0], 1.0);
     }
 }

@@ -939,13 +939,12 @@ impl Engine {
         // A non-finite embedding must not reach the head, whose ReLU maps
         // NaN to 0: its rows go to the finiteness verdict instead.
         if !q.score || !z.all_finite() {
-            return Ok(z.data().to_vec());
+            return Ok(z.into_data());
         }
         // Row 0 = src, row 1 = dst.
         let mut ev = Eval::new();
-        let (src, dst) = (ev.constant(z.row_matrix(0)), ev.constant(z.row_matrix(1)));
-        let logit = epoch.head.score(&mut ev, &epoch.store, src, dst);
-        Ok(ev.value(logit).data().to_vec())
+        let logit = epoch.head.score_pair(&mut ev, &epoch.store, z);
+        Ok(ev.take(logit).into_data())
     }
 
     /// Hot-reloads the model from `path`. On any failure — injected

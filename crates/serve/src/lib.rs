@@ -73,8 +73,8 @@
 //! [`FaultHook`](cpdg_core::FaultHook) through the serve-side fault
 //! points — `serve.accept` (admission), `serve.infer` (query forward
 //! pass), `serve.reload` (hot swap), `serve.worker` (worker panic),
-//! `wal.append` / `wal.fsync` (durable ingestion), `wal.replay`
-//! (recovery), plus the self-healing layer's `scrub.read`
+//! `wal.append` / `wal.fsync` / `wal.rotate` (durable ingestion),
+//! `wal.replay` (recovery), plus the self-healing layer's `scrub.read`
 //! (scrubber artifact reads), `scrub.repair` (replica rewrites), and
 //! `integrity.bitflip` (seeded byte corruption injected on sealed-copy
 //! reads) — so the workspace `serve_suite`, `wal_suite` and

@@ -10,12 +10,30 @@
 //!
 //! Each op's value is computed by one provided method of [`Forward`], so
 //! the two evaluators produce the same bits by construction.
+//!
+//! ## Consuming ops
+//!
+//! A module often feeds an op's output to exactly one later op. The
+//! `*_in_place` forms (`add_in_place`, the activations, …) write their
+//! output into the buffer of their first input, which they consume through
+//! [`Forward::take`]: an `Eval` moves the value out (reading that variable
+//! again panics, naming it) and allocates one matrix fewer. A `Tape` keeps
+//! every input, because its reverse pass reads them, so there a consuming
+//! op computes into a fresh buffer just as its copying form does. Either
+//! way the per-element arithmetic is the copying form's, so the bits do
+//! not change. An op keeps a copying form only where a caller uses it
+//! (`add`, `mul` and `tanh` on values read again; `sub`, `sigmoid` and
+//! `relu` in training code); `cos_in_place` and
+//! `add_broadcast_row_in_place` have none.
+//!
+//! [`Forward::mount`] is the borrowing counterpart of
+//! [`Forward::constant`]: an `Eval` reads a value that outlives it in
+//! place, as it reads parameters, and a `Tape` copies it.
 
 use crate::matrix::Matrix;
 use crate::ops::{relu, segment_attention, sigmoid, softplus, Op, Record, LN_EPS};
 use crate::param::{ParamId, ParamStore};
 use crate::tape::Var;
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// The op set, evaluated forward. `'s` is the lifetime of the
@@ -27,11 +45,23 @@ pub trait Forward<'s>: Record {
     /// Mounts a trainable parameter.
     fn param(&mut self, store: &'s ParamStore, id: ParamId) -> Var;
 
+    /// Hands back `var`'s value as an owned matrix, for an op to write its
+    /// output into. A recording evaluator copies it, because its reverse
+    /// pass reads every input; a forward-only one moves it out (copying a
+    /// value it only borrows), after which reading `var` panics.
+    fn take(&mut self, var: Var) -> Matrix;
+
     /// Records a constant (no gradient is propagated past it). The value
     /// is kept as it is, finite or not: the training guard turns a
     /// non-finite loss into a skipped step or a typed divergence report.
     fn constant(&mut self, value: Matrix) -> Var {
         self.push(value, || Op::Leaf)
+    }
+
+    /// [`Forward::constant`] for a value that outlives the evaluator: a
+    /// forward-only evaluator reads it in place, a recording one copies it.
+    fn mount(&mut self, value: &'s Matrix) -> Var {
+        self.constant(value.clone())
     }
 
     /// Matrix product.
@@ -42,7 +72,8 @@ pub trait Forward<'s>: Record {
 
     /// `x·w + b[1,n]`, the bias added in place into the product's fresh
     /// buffer: the same bits as [`Forward::matmul`] then
-    /// [`Forward::add_broadcast_row`], with one matrix where they make two.
+    /// [`Forward::add_broadcast_row_in_place`], with one matrix where they
+    /// make two.
     fn affine(&mut self, x: Var, w: Var, b: Var) -> Var {
         let mut v = self.value(x).matmul(self.value(w));
         v.add_row_inplace(self.value(b));
@@ -55,9 +86,17 @@ pub trait Forward<'s>: Record {
         self.push(v, || Op::Add(a, b))
     }
 
-    /// `a[m,n] + b[1,n]`, broadcasting `b` over rows (bias add).
-    fn add_broadcast_row(&mut self, a: Var, b: Var) -> Var {
-        let mut v = self.value(a).clone();
+    /// [`Forward::add`] written into `a`'s buffer, consuming `a`
+    /// ([`Forward::take`]); `b` must be another variable.
+    fn add_in_place(&mut self, a: Var, b: Var) -> Var {
+        let v = zip_consuming(self, a, b, |x, y| x + y);
+        self.push(v, || Op::Add(a, b))
+    }
+
+    /// `a[m,n] + b[1,n]`, broadcasting `b` over rows (bias add), written
+    /// into `a`'s buffer, consuming `a`.
+    fn add_broadcast_row_in_place(&mut self, a: Var, b: Var) -> Var {
+        let mut v = self.take(a);
         v.add_row_inplace(self.value(b));
         self.push(v, || Op::AddBroadcastRow(a, b))
     }
@@ -68,9 +107,23 @@ pub trait Forward<'s>: Record {
         self.push(v, || Op::Sub(a, b))
     }
 
+    /// [`Forward::sub`] written into `a`'s buffer, consuming `a`; `b` must
+    /// be another variable.
+    fn sub_in_place(&mut self, a: Var, b: Var) -> Var {
+        let v = zip_consuming(self, a, b, |x, y| x - y);
+        self.push(v, || Op::Sub(a, b))
+    }
+
     /// Elementwise (Hadamard) product.
     fn mul(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).zip(self.value(b), |x, y| x * y);
+        self.push(v, || Op::Mul(a, b))
+    }
+
+    /// [`Forward::mul`] written into `a`'s buffer, consuming `a`; `b` must
+    /// be another variable.
+    fn mul_in_place(&mut self, a: Var, b: Var) -> Var {
+        let v = zip_consuming(self, a, b, |x, y| x * y);
         self.push(v, || Op::Mul(a, b))
     }
 
@@ -92,9 +145,21 @@ pub trait Forward<'s>: Record {
         self.push(v, || Op::Sigmoid(a))
     }
 
+    /// [`Forward::sigmoid`] written into `a`'s buffer, consuming `a`.
+    fn sigmoid_in_place(&mut self, a: Var) -> Var {
+        let v = map_consuming(self, a, sigmoid);
+        self.push(v, || Op::Sigmoid(a))
+    }
+
     /// Hyperbolic tangent.
     fn tanh(&mut self, a: Var) -> Var {
         let v = self.value(a).map(f32::tanh);
+        self.push(v, || Op::Tanh(a))
+    }
+
+    /// [`Forward::tanh`] written into `a`'s buffer, consuming `a`.
+    fn tanh_in_place(&mut self, a: Var) -> Var {
+        let v = map_consuming(self, a, f32::tanh);
         self.push(v, || Op::Tanh(a))
     }
 
@@ -104,9 +169,15 @@ pub trait Forward<'s>: Record {
         self.push(v, || Op::Relu(a))
     }
 
-    /// Elementwise cosine.
-    fn cos(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::cos);
+    /// [`Forward::relu`] written into `a`'s buffer, consuming `a`.
+    fn relu_in_place(&mut self, a: Var) -> Var {
+        let v = map_consuming(self, a, relu);
+        self.push(v, || Op::Relu(a))
+    }
+
+    /// Elementwise cosine, written into `a`'s buffer, consuming `a`.
+    fn cos_in_place(&mut self, a: Var) -> Var {
+        let v = map_consuming(self, a, f32::cos);
         self.push(v, || Op::Cos(a))
     }
 
@@ -138,8 +209,14 @@ pub trait Forward<'s>: Record {
         segments: &[Range<usize>],
         scale: f32,
     ) -> Var {
-        let (out, weights) =
-            segment_attention(self.value(q), self.value(k), self.value(v), segments, scale);
+        let (out, weights) = segment_attention(
+            self.value(q),
+            self.value(k),
+            self.value(v),
+            segments,
+            scale,
+            Self::RECORDS,
+        );
         self.push(out, || Op::SegmentAttention {
             q,
             k,
@@ -308,38 +385,109 @@ pub trait Forward<'s>: Record {
     }
 }
 
+/// `f` over `a`'s value, for a consuming op: written into `a`'s own
+/// buffer when the evaluator gives it up ([`Forward::take`]). A recording
+/// evaluator keeps every input for its reverse pass, so there `f` writes a
+/// fresh buffer, exactly as the copying op does, rather than into a copy.
+fn map_consuming<'s, F: Forward<'s> + ?Sized>(
+    ev: &mut F,
+    a: Var,
+    f: impl Fn(f32) -> f32,
+) -> Matrix {
+    if F::RECORDS {
+        return ev.value(a).map(f);
+    }
+    let mut v = ev.take(a);
+    v.map_inplace(f);
+    v
+}
+
+/// [`map_consuming`] for an elementwise `f(a, b)`; `b` must be another
+/// variable.
+fn zip_consuming<'s, F: Forward<'s> + ?Sized>(
+    ev: &mut F,
+    a: Var,
+    b: Var,
+    f: impl Fn(f32, f32) -> f32,
+) -> Matrix {
+    if F::RECORDS {
+        return ev.value(a).zip(ev.value(b), f);
+    }
+    let mut v = ev.take(a);
+    v.zip_inplace(ev.value(b), f);
+    v
+}
+
 /// The forward-only evaluator: the same op values as [`Tape`](crate::Tape),
-/// with no op record and parameters read from the store in place.
+/// with no op record, parameters and mounted values read in place, and
+/// consumed values moved out.
 #[derive(Debug, Default)]
 pub struct Eval<'s> {
-    values: Vec<Cow<'s, Matrix>>,
+    values: Vec<Slot<'s>>,
+}
+
+/// One variable's value in an [`Eval`].
+#[derive(Debug)]
+enum Slot<'s> {
+    Owned(Matrix),
+    Borrowed(&'s Matrix),
+    /// Moved out by [`Forward::take`].
+    Taken,
 }
 
 impl Eval<'_> {
-    /// An empty evaluator, with room for one serving query's values.
+    /// An empty evaluator, with room for one pending application's or one
+    /// serving query's values.
     pub fn new() -> Self {
         Self {
-            values: Vec::with_capacity(32),
+            values: Vec::with_capacity(64),
         }
     }
 }
 
 impl Record for Eval<'_> {
+    const RECORDS: bool = false;
+
     fn push(&mut self, value: Matrix, _op: impl FnOnce() -> Op) -> Var {
-        self.values.push(Cow::Owned(value));
+        self.values.push(Slot::Owned(value));
         Var(self.values.len() - 1)
     }
 }
 
 impl<'s> Forward<'s> for Eval<'s> {
     fn value(&self, var: Var) -> &Matrix {
-        &self.values[var.0]
+        match &self.values[var.0] {
+            Slot::Owned(m) => m,
+            Slot::Borrowed(m) => m,
+            Slot::Taken => panic!(
+                "Eval: variable {} was moved out by a consuming op and cannot be read again",
+                var.0
+            ),
+        }
+    }
+
+    /// Moves the value out; a borrowed one is copied. Either way the
+    /// variable cannot be read again.
+    fn take(&mut self, var: Var) -> Matrix {
+        match std::mem::replace(&mut self.values[var.0], Slot::Taken) {
+            Slot::Owned(m) => m,
+            Slot::Borrowed(m) => m.clone(),
+            Slot::Taken => panic!(
+                "Eval: variable {} was moved out by a consuming op and cannot be taken again",
+                var.0
+            ),
+        }
+    }
+
+    /// Borrows `value`: no copy.
+    fn mount(&mut self, value: &'s Matrix) -> Var {
+        self.values.push(Slot::Borrowed(value));
+        Var(self.values.len() - 1)
     }
 
     /// Borrows the parameter's value from `store`: no copy.
     fn param(&mut self, store: &'s ParamStore, id: ParamId) -> Var {
-        self.values.push(Cow::Borrowed(store.value(id)));
-        Var(self.values.len() - 1)
+        self.mount(store.value(id))
     }
 }
 
@@ -372,6 +520,130 @@ mod tests {
         assert_eq!(ev.value(y), tape.value(yt));
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Values over several decades, signed zeros, an infinity and a NaN.
+    fn awkward(rows: usize, cols: usize, seed: u32) -> Matrix {
+        let special = [-0.0, 0.0, f32::INFINITY, f32::NAN, 1e-38, -88.5, 20.25];
+        let data = (0..rows * cols)
+            .map(|i| {
+                let k = (i as u32).wrapping_mul(2654435761).wrapping_add(seed);
+                if i % 4 == 1 {
+                    special[(k % 7) as usize]
+                } else {
+                    ((k >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * 10f32.powi((k % 5) as i32 - 2)
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    type Binary<F> = fn(&mut F, Var, Var) -> Var;
+    type Unary<F> = fn(&mut F, Var) -> Var;
+
+    /// Runs every consuming op and its copying form (or, for the ops that
+    /// have none, the copying form's arithmetic on plain matrices) on `ev`
+    /// over the same inputs, returning `(name, copying bits, consuming
+    /// bits)`.
+    fn consuming_pairs<'s, F: Forward<'s>>(ev: &mut F) -> Vec<(&'static str, Vec<u32>, Vec<u32>)> {
+        let binary: [(&str, Binary<F>, Binary<F>); 3] = [
+            ("add", F::add, F::add_in_place),
+            ("sub", F::sub, F::sub_in_place),
+            ("mul", F::mul, F::mul_in_place),
+        ];
+        let unary: [(&str, Unary<F>, Unary<F>); 3] = [
+            ("sigmoid", F::sigmoid, F::sigmoid_in_place),
+            ("tanh", F::tanh, F::tanh_in_place),
+            ("relu", F::relu, F::relu_in_place),
+        ];
+        let mut out = Vec::new();
+        for (name, copying, consuming) in binary {
+            let [a, b, a2] = [1, 2, 1].map(|seed| ev.constant(awkward(3, 5, seed)));
+            let want = copying(ev, a, b);
+            let got = consuming(ev, a2, b);
+            out.push((name, bits(ev.value(want)), bits(ev.value(got))));
+        }
+        for (name, copying, consuming) in unary {
+            let [a, a2] = [3, 3].map(|seed| ev.constant(awkward(3, 5, seed)));
+            let want = copying(ev, a);
+            let got = consuming(ev, a2);
+            out.push((name, bits(ev.value(want)), bits(ev.value(got))));
+        }
+        let a = ev.constant(awkward(3, 5, 3));
+        let got = ev.cos_in_place(a);
+        let want = awkward(3, 5, 3).map(f32::cos);
+        out.push(("cos", bits(&want), bits(ev.value(got))));
+        let [a, row] = [(3, 4), (1, 5)].map(|(rows, seed)| ev.constant(awkward(rows, 5, seed)));
+        let got = ev.add_broadcast_row_in_place(a, row);
+        let mut want = awkward(3, 5, 4);
+        want.add_row_inplace(&awkward(1, 5, 5));
+        out.push(("add_broadcast_row", bits(&want), bits(ev.value(got))));
+        out
+    }
+
+    #[test]
+    fn consuming_ops_match_their_copying_forms_bit_for_bit_on_both_evaluators() {
+        let mut tape = Tape::new();
+        let on_tape = consuming_pairs(&mut tape);
+        let mut ev = Eval::new();
+        let on_eval = consuming_pairs(&mut ev);
+        assert_eq!(on_tape.len(), 8);
+        for ((name, want, got), (_, eval_want, eval_got)) in on_tape.iter().zip(&on_eval) {
+            assert_eq!(want, got, "{name} on the tape");
+            assert_eq!(eval_want, eval_got, "{name} on the Eval");
+            assert_eq!(want, eval_got, "{name}: Eval against tape");
+        }
+    }
+
+    #[test]
+    fn a_consuming_op_keeps_the_tape_input_and_its_gradient() {
+        let x = awkward(2, 3, 7).map(|v| {
+            if v.is_finite() {
+                v.clamp(-3.0, 3.0)
+            } else {
+                0.5
+            }
+        });
+        let grads = |consume: bool| {
+            let mut tape = Tape::new();
+            let a = tape.constant(x.clone());
+            let y = if consume {
+                tape.tanh_in_place(a)
+            } else {
+                tape.tanh(a)
+            };
+            assert_eq!(bits(tape.value(a)), bits(&x), "the tape keeps its input");
+            let loss = tape.sum_all(y);
+            bits(tape.backward(loss).get(a).unwrap())
+        };
+        assert_eq!(grads(true), grads(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "Eval: variable 0 was moved out by a consuming op")]
+    fn reading_a_moved_out_eval_variable_panics_naming_it() {
+        let mut ev = Eval::new();
+        let a = ev.constant(Matrix::ones(2, 2));
+        let _ = ev.sigmoid_in_place(a);
+        ev.value(a);
+    }
+
+    #[test]
+    fn eval_mounts_by_reference_and_takes_a_copy_of_what_it_borrows() {
+        let m = Matrix::from_rows(&[&[1.5, -2.0]]);
+        let mut ev = Eval::new();
+        let a = ev.mount(&m);
+        assert!(std::ptr::eq(ev.value(a), &m), "mounted by reference");
+        assert_eq!(ev.take(a), m);
+        let mut tape = Tape::new();
+        let t = tape.mount(&m);
+        assert!(!std::ptr::eq(tape.value(t), &m), "the tape mounts a copy");
+        assert_eq!(tape.take(t), m);
+        assert_eq!(tape.value(t), &m, "the tape's take copies");
+    }
+
     #[test]
     fn affine_is_the_product_plus_the_broadcast_bias_bit_for_bit() {
         let x = Matrix::from_rows(&[&[0.1, -2.5, 3.0], &[1e-3, 7.25, -0.0]]);
@@ -381,7 +653,7 @@ mod tests {
         let [xt, wt, bt] = [&x, &w, &b].map(|m| tape.constant(m.clone()));
         let fused = tape.affine(xt, wt, bt);
         let product = tape.matmul(xt, wt);
-        let unfused = tape.add_broadcast_row(product, bt);
+        let unfused = tape.add_broadcast_row_in_place(product, bt);
         let mut ev = Eval::new();
         let [xe, we, be] = [&x, &w, &b].map(|m| ev.constant(m.clone()));
         let eval = ev.affine(xe, we, be);

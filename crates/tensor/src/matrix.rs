@@ -352,6 +352,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The row-major data, moved out.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
@@ -428,36 +433,46 @@ impl Matrix {
         })
     }
 
-    /// `v · self[rows, cols]`: a row vector times a block of `self`, as a
-    /// `cols.len()`-wide row (`v.len()` must equal `rows.len()`). It runs
-    /// [`Matrix::matmul`]'s accumulation (inner index ascending, zero
-    /// entries of `v` skipped), so each element is bit-identical to the
-    /// matching element of `Matrix::row_vec(v).matmul(&block)`. Its flops
-    /// are counted; as a dispatch it is not, being one step of a stacked
-    /// pass rather than a product of its own.
+    /// `out += v · self[rows, cols]`: a row vector times a block of `self`,
+    /// accumulated into the `cols.len()`-wide row `out` (`v.len()` must
+    /// equal `rows.len()`). It runs [`Matrix::matmul`]'s accumulation
+    /// (inner index ascending, zero entries of `v` skipped), so on a zeroed
+    /// `out` each element is bit-identical to the matching element of
+    /// `Matrix::row_vec(v).matmul(&block)`. Its flops are counted; as a
+    /// dispatch it is not, being one step of a stacked pass rather than a
+    /// product of its own.
     ///
     /// # Panics
-    /// Panics if `v` and `rows` disagree in length or the block is out of
-    /// range.
-    pub fn vec_matmul_block(&self, v: &[f32], rows: Range<usize>, cols: Range<usize>) -> Vec<f32> {
+    /// Panics if `v` and `rows`, or `out` and `cols`, disagree in length,
+    /// or the block is out of range.
+    pub fn vec_matmul_block_into(
+        &self,
+        v: &[f32],
+        rows: Range<usize>,
+        cols: Range<usize>,
+        out: &mut [f32],
+    ) {
         assert_eq!(
             v.len(),
             rows.len(),
             "vec_matmul_block: vector and block heights differ"
+        );
+        assert_eq!(
+            out.len(),
+            cols.len(),
+            "vec_matmul_block: output and block widths differ"
         );
         assert!(
             rows.end <= self.rows && cols.end <= self.cols,
             "vec_matmul_block: block out of range"
         );
         cpdg_obs::counter!("matmul.flops").add(2 * (v.len() * cols.len()) as u64);
-        let mut out = vec![0.0; cols.len()];
         for (r, &av) in rows.zip(v) {
             if av == 0.0 {
                 continue;
             }
-            axpy(&mut out, av, &self.row(r)[cols.clone()]);
+            axpy(out, av, &self.row(r)[cols.clone()]);
         }
-        out
     }
 
     /// Adds the `1 × cols` matrix `row` to every row of `self` (a bias
@@ -514,6 +529,14 @@ impl Matrix {
                 .zip(rhs.data.iter())
                 .map(|(&a, &b)| f(a, b))
                 .collect(),
+        }
+    }
+
+    /// [`Matrix::zip`] written into `self`: `self[i] = f(self[i], rhs[i])`.
+    pub fn zip_inplace(&mut self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) {
+        assert_eq!(self.shape(), rhs.shape(), "zip: shape mismatch");
+        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+            *a = f(*a, b);
         }
     }
 

@@ -67,18 +67,19 @@ impl GruCell {
         );
 
         let z_pre = recurrent_pre(ev, store, self.gates[0], x, h);
-        let z = ev.sigmoid(z_pre);
+        let z = ev.sigmoid_in_place(z_pre);
         let r_pre = recurrent_pre(ev, store, self.gates[1], x, h);
-        let r = ev.sigmoid(r_pre);
-        let rh = ev.mul(r, h);
+        let r = ev.sigmoid_in_place(r_pre);
+        let rh = ev.mul_in_place(r, h);
         let n_pre = recurrent_pre(ev, store, self.gates[2], x, rh);
-        let n = ev.tanh(n_pre);
+        let n = ev.tanh_in_place(n_pre);
 
-        // h' = (1−z)∘n + z∘h = n − z∘n + z∘h
+        // h' = (1−z)∘n + z∘h = n − z∘n + z∘h, each gate consumed by its
+        // last reader.
         let zn = ev.mul(z, n);
-        let zh = ev.mul(z, h);
-        let n_minus_zn = ev.sub(n, zn);
-        ev.add(n_minus_zn, zh)
+        let zh = ev.mul_in_place(z, h);
+        let n_minus_zn = ev.sub_in_place(n, zn);
+        ev.add_in_place(n_minus_zn, zh)
     }
 }
 

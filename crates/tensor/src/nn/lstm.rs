@@ -73,18 +73,19 @@ impl LstmCell {
             "LstmCell: cell width mismatch"
         );
         let i_pre = recurrent_pre(ev, store, self.gates[0], x, h);
-        let i = ev.sigmoid(i_pre);
+        let i = ev.sigmoid_in_place(i_pre);
         let f_pre = recurrent_pre(ev, store, self.gates[1], x, h);
-        let f = ev.sigmoid(f_pre);
+        let f = ev.sigmoid_in_place(f_pre);
         let o_pre = recurrent_pre(ev, store, self.gates[2], x, h);
-        let o = ev.sigmoid(o_pre);
+        let o = ev.sigmoid_in_place(o_pre);
         let g_pre = recurrent_pre(ev, store, self.gates[3], x, h);
-        let g = ev.tanh(g_pre);
-        let fc = ev.mul(f, c);
-        let ig = ev.mul(i, g);
-        let c_new = ev.add(fc, ig);
+        let g = ev.tanh_in_place(g_pre);
+        let fc = ev.mul_in_place(f, c);
+        let ig = ev.mul_in_place(i, g);
+        let c_new = ev.add_in_place(fc, ig);
+        // `c_new` is returned, so its `tanh` copies it.
         let tc = ev.tanh(c_new);
-        let h_new = ev.mul(o, tc);
+        let h_new = ev.mul_in_place(o, tc);
         (h_new, c_new)
     }
 }

@@ -21,11 +21,13 @@ pub enum Activation {
 }
 
 impl Activation {
+    /// Applies the activation in place: `x` is a layer output no one else
+    /// reads.
     fn apply<'s>(self, ev: &mut impl Forward<'s>, x: Var) -> Var {
         match self {
-            Activation::Relu => ev.relu(x),
-            Activation::Tanh => ev.tanh(x),
-            Activation::Sigmoid => ev.sigmoid(x),
+            Activation::Relu => ev.relu_in_place(x),
+            Activation::Tanh => ev.tanh_in_place(x),
+            Activation::Sigmoid => ev.sigmoid_in_place(x),
             Activation::Identity => x,
         }
     }

@@ -55,7 +55,7 @@ fn gate_params(
 }
 
 /// The recurrent pre-activation `x·W + h·U + b` of the RNN cell and of each
-/// GRU and LSTM gate.
+/// GRU and LSTM gate, the sum and the bias written into `x·W`'s buffer.
 fn recurrent_pre<'s>(
     ev: &mut impl Forward<'s>,
     store: &'s ParamStore,
@@ -68,6 +68,6 @@ fn recurrent_pre<'s>(
     let b = ev.param(store, b);
     let xw = ev.matmul(x, w);
     let hu = ev.matmul(h, u);
-    let s = ev.add(xw, hu);
-    ev.add_broadcast_row(s, b)
+    let s = ev.add_in_place(xw, hu);
+    ev.add_broadcast_row_in_place(s, b)
 }

@@ -32,7 +32,7 @@ impl LayerNorm {
         let g = ev.param(store, self.gamma);
         let b = ev.param(store, self.beta);
         let scaled = ev.mul_broadcast_row(normed, g);
-        ev.add_broadcast_row(scaled, b)
+        ev.add_broadcast_row_in_place(scaled, b)
     }
 
     /// Channel width.

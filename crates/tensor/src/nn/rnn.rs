@@ -58,7 +58,7 @@ impl RnnCell {
             "RnnCell: hidden width mismatch"
         );
         let pre = recurrent_pre(ev, store, [self.w, self.u, self.b], x, h);
-        ev.tanh(pre)
+        ev.tanh_in_place(pre)
     }
 }
 

@@ -38,19 +38,19 @@ impl TimeEncoder {
         let omega = ev.param(store, self.omega);
         let phase = ev.param(store, self.phase);
         let shifted = ev.affine(dt, omega, phase); // outer product: m×dim
-        ev.cos(shifted)
+        ev.cos_in_place(shifted)
     }
 
-    /// Convenience: encodes a plain slice of deltas without building the
-    /// input matrix by hand. Row `r` depends only on `dts[r]`, so it is
+    /// Convenience: encodes plain deltas, taking them as the `m×1` input
+    /// without a copy. Row `r` depends only on `dts[r]`, so it is
     /// bit-identical to encoding that delta alone.
-    pub fn encode_slice<'s>(
+    pub fn encode<'s>(
         &self,
         ev: &mut impl Forward<'s>,
         store: &'s ParamStore,
-        dts: &[f32],
+        dts: Vec<f32>,
     ) -> Var {
-        let dt = ev.constant(Matrix::col_vec(dts.to_vec()));
+        let dt = ev.constant(Matrix::col_vec(dts));
         self.forward(ev, store, dt)
     }
 
@@ -71,7 +71,7 @@ mod tests {
         let mut store = ParamStore::new();
         let enc = TimeEncoder::new(&mut store, "te", 8);
         let mut tape = Tape::new();
-        let out = enc.encode_slice(&mut tape, &store, &[0.0, 0.0]);
+        let out = enc.encode(&mut tape, &store, vec![0.0, 0.0]);
         assert_eq!(tape.value(out).shape(), (2, 8));
         assert!(tape
             .value(out)
@@ -85,7 +85,7 @@ mod tests {
         let mut store = ParamStore::new();
         let enc = TimeEncoder::new(&mut store, "te", 16);
         let mut tape = Tape::new();
-        let out = enc.encode_slice(&mut tape, &store, &[1.0, 1000.0]);
+        let out = enc.encode(&mut tape, &store, vec![1.0, 1000.0]);
         let v = tape.value(out);
         assert!(v.data().iter().all(|&x| x.abs() <= 1.0));
         assert!(v.row_matrix(0).max_abs_diff(&v.row_matrix(1)) > 1e-3);
@@ -97,10 +97,10 @@ mod tests {
         let enc = TimeEncoder::new(&mut store, "te", 8);
         let dts = [0.0, 0.75, 3.5, 1e4];
         let mut ev = Eval::new();
-        let stacked = enc.encode_slice(&mut ev, &store, &dts);
+        let stacked = enc.encode(&mut ev, &store, dts.to_vec());
         for (r, &dt) in dts.iter().enumerate() {
             let mut tape = Tape::new();
-            let one = enc.encode_slice(&mut tape, &store, &[dt]);
+            let one = enc.encode(&mut tape, &store, vec![dt]);
             assert_eq!(tape.value(one).row(0), ev.value(stacked).row(r), "dt={dt}");
         }
     }
@@ -110,7 +110,7 @@ mod tests {
         let mut store = ParamStore::new();
         let enc = TimeEncoder::new(&mut store, "te", 4);
         let mut tape = Tape::new();
-        let out = enc.encode_slice(&mut tape, &store, &[2.5]);
+        let out = enc.encode(&mut tape, &store, vec![2.5]);
         let loss = tape.mean_all(out);
         let grads = tape.backward(loss);
         assert_eq!(

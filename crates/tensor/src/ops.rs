@@ -102,6 +102,11 @@ mod recorded {
 
     /// How an evaluator keeps a computed value.
     pub trait Record {
+        /// Whether the evaluator keeps ops for a reverse pass, and so the
+        /// payloads (such as softmax weights) that only the reverse pass
+        /// reads.
+        const RECORDS: bool;
+
         /// Stores `value` as a new variable. A recording evaluator also
         /// keeps `op()`; a forward-only one never builds it.
         fn push(&mut self, value: Matrix, op: impl FnOnce() -> Op) -> Var;
@@ -264,7 +269,7 @@ impl Op {
             Op::MatMul(a, b) => matmul_backward(values, *a, *b, out_grad, grads, transposes),
             Op::Affine(x, w, b) => {
                 // The bias rule, then the product's, in the order the
-                // unfused `add_broadcast_row(matmul(x, w), b)` ran them.
+                // unfused `add_broadcast_row_in_place(matmul(x, w), b)` ran them.
                 acc(grads, *b, column_sums(out_grad));
                 matmul_backward(values, *x, *w, out_grad, grads, transposes);
             }
@@ -570,12 +575,14 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Forward of [`Op::SegmentAttention`] on plain values: row `i` of `q`
-/// scores rows `segments[i]` of `k` (`vec_matmul_block` over `kᵀ`), scales
-/// by `scale`, takes the softmax and mixes the same rows of `v`. Returns
-/// the `segments.len() × v.cols()` mix and the softmax weights of every
-/// segment, concatenated in segment order. Each output row runs the
-/// products of a lone `1 × a` query against its segment, so it is
-/// bit-identical to attending that query alone.
+/// scores rows `segments[i]` of `k` (`vec_matmul_block_into` over `kᵀ`),
+/// scales by `scale`, takes the softmax and mixes the same rows of `v`
+/// into output row `i`. Returns the `segments.len() × v.cols()` mix and,
+/// when `keep_weights` is set, the softmax weights of every segment,
+/// concatenated in segment order (empty otherwise). The scores of each
+/// segment go through one scratch row. Each output row runs the products
+/// of a lone `1 × a` query against its segment, so it is bit-identical to
+/// attending that query alone, with or without the weights kept.
 ///
 /// # Panics
 /// Panics when `segments` does not hold one non-empty in-range row range
@@ -586,6 +593,7 @@ pub(crate) fn segment_attention(
     v: &Matrix,
     segments: &[Range<usize>],
     scale: f32,
+    keep_weights: bool,
 ) -> (Matrix, Vec<f32>) {
     assert_eq!(
         q.rows(),
@@ -603,22 +611,32 @@ pub(crate) fn segment_attention(
         "segment_attention: keys and values differ in rows"
     );
     let kt = k.transpose();
-    let mut mixed = Vec::with_capacity(segments.len() * v.cols());
-    let mut weights = Vec::with_capacity(segments.iter().map(|seg| seg.len()).sum());
+    let mut mixed = Matrix::zeros(segments.len(), v.cols());
+    let mut weights = Vec::with_capacity(if keep_weights {
+        segments.iter().map(|seg| seg.len()).sum()
+    } else {
+        0
+    });
+    let longest = segments.iter().map(|seg| seg.len()).max().unwrap_or(0);
+    let mut scratch = vec![0.0f32; longest];
     for (i, seg) in segments.iter().enumerate() {
         assert!(
             !seg.is_empty(),
             "segment_attention: need at least one neighbour row (include the centre node itself)"
         );
-        let mut w = kt.vec_matmul_block(q.row(i), 0..q.cols(), seg.clone());
-        for x in &mut w {
+        let w = &mut scratch[..seg.len()];
+        w.fill(0.0);
+        kt.vec_matmul_block_into(q.row(i), 0..q.cols(), seg.clone(), w);
+        for x in w.iter_mut() {
             *x *= scale;
         }
-        softmax_in_place(&mut w);
-        mixed.extend(v.vec_matmul_block(&w, seg.clone(), 0..v.cols()));
-        weights.extend_from_slice(&w);
+        softmax_in_place(w);
+        v.vec_matmul_block_into(w, seg.clone(), 0..v.cols(), mixed.row_mut(i));
+        if keep_weights {
+            weights.extend_from_slice(w);
+        }
     }
-    (Matrix::from_vec(segments.len(), v.cols(), mixed), weights)
+    (mixed, weights)
 }
 
 /// Numerically stable logistic sigmoid.
@@ -788,7 +806,7 @@ mod tests {
             let q = spread_matrix(segments.len(), qk_width, seed + 1);
             let k = spread_matrix(9, qk_width, seed + 2);
             let v = spread_matrix(9, v_width, seed + 3);
-            let (_, weights) = segment_attention(&q, &k, &v, &segments, 0.25);
+            let (_, weights) = segment_attention(&q, &k, &v, &segments, 0.25, true);
             let g = spread_matrix(segments.len(), v_width, seed + 4);
             let want =
                 segment_attention_backward_reference(&q, &k, &v, &segments, 0.25, &weights, &g);
@@ -802,6 +820,28 @@ mod tests {
                     assert_eq!(got, want, "{name} {part} at widths {qk_width}/{v_width}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn segment_attention_output_is_identical_with_and_without_weights() {
+        let segments = [0..3, 2..9, 5..6, 0..9, 7..9];
+        let q = spread_matrix(segments.len(), 8, 51);
+        let k = spread_matrix(9, 8, 52);
+        let v = spread_matrix(9, 11, 53);
+        let (kept, weights) = segment_attention(&q, &k, &v, &segments, 0.35, true);
+        let (dropped, none) = segment_attention(&q, &k, &v, &segments, 0.35, false);
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&kept), bits(&dropped));
+        assert_eq!(weights.len(), 3 + 7 + 1 + 9 + 2);
+        assert!(none.is_empty() && none.capacity() == 0, "no weights kept");
+        // Each row equals its lone query's softmax(scale · q·kᵀ)·v.
+        for (i, seg) in segments.iter().enumerate() {
+            let block = |m: &Matrix| m.gather_rows(&seg.clone().collect::<Vec<_>>());
+            let mut w = q.row_matrix(i).matmul(&block(&k).transpose());
+            w.scale_inplace(0.35);
+            softmax_in_place(w.data_mut());
+            assert_eq!(bits(&w.matmul(&block(&v))), bits(&dropped.row_matrix(i)));
         }
     }
 

@@ -128,6 +128,8 @@ impl Tape {
 }
 
 impl Record for Tape {
+    const RECORDS: bool = true;
+
     fn push(&mut self, value: Matrix, op: impl FnOnce() -> Op) -> Var {
         let var = Var(self.values.len());
         self.values.push(value);
@@ -139,6 +141,12 @@ impl Record for Tape {
 impl<'s> Forward<'s> for Tape {
     fn value(&self, var: Var) -> &Matrix {
         &self.values[var.0]
+    }
+
+    /// A copy: the reverse pass reads every op's inputs, so none is
+    /// consumed.
+    fn take(&mut self, var: Var) -> Matrix {
+        self.values[var.0].clone()
     }
 
     /// Mounts a copy of the parameter's value, so the store can be stepped

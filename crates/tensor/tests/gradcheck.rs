@@ -121,7 +121,7 @@ fn cos_grad() {
     for_each_case(CASES, |rng| {
         let x = smooth_matrix(rng, 2, 2);
         gradcheck(&x, |t, v| {
-            let c = t.cos(v);
+            let c = t.cos_in_place(v);
             t.mean_all(c)
         });
     });
@@ -167,7 +167,7 @@ fn repeated_gathers_into_populated_slot_grad() {
             let ab = t.mul(a, b);
             let all_rows = 0..3;
             let wm = t.mean_rows(w, &[all_rows]);
-            let y = t.add_broadcast_row(ab, wm);
+            let y = t.add_broadcast_row_in_place(ab, wm);
             t.sum_all(y)
         });
     });
@@ -181,7 +181,7 @@ fn mean_rows_and_broadcast_grad() {
         gradcheck(&x, |t, v| {
             let all_rows = 0..4;
             let mu = t.mean_rows(v, &[all_rows]);
-            let y = t.add_broadcast_row(v, mu);
+            let y = t.add_broadcast_row_in_place(v, mu);
             let sq = t.mul(y, v);
             // Ragged and overlapping segments, one of them empty.
             let m = t.mean_rows(sq, &[0..1, 1..4, 2..4, 3..3, 0..4]);

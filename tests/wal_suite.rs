@@ -9,10 +9,10 @@
 //!
 //! Three pillars:
 //!
-//! * every WAL fault point (`wal.append`, `wal.fsync`, `wal.replay`)
-//!   is driven both transiently (retried invisibly) and permanently
-//!   (typed rejection, exactly-once semantics: a rejected event is in
-//!   neither memory nor log);
+//! * every WAL fault point (`wal.append`, `wal.fsync`, `wal.rotate`,
+//!   `wal.replay`) is driven both transiently (retried invisibly) and
+//!   permanently (typed rejection, exactly-once semantics: a rejected
+//!   event is in neither memory nor log);
 //! * the kill -9 analog — dropping the engine with no drain, no
 //!   checkpoint, no sync beyond the per-append policy — at every cut
 //!   point of the event stream, including across segment rotations and
@@ -121,6 +121,48 @@ fn permanent_append_and_fsync_faults_reject_exactly_once() {
 }
 
 #[test]
+fn rotation_faults_reject_exactly_the_events_that_see_err() {
+    let model = trained_model(7);
+    // Two 34-byte event frames fill a 64-byte segment, so every other
+    // EVENT from the third on must rotate first: EVENTs 3, 5 (fails), 6,
+    // 8 (fails) and 9 consult `wal.rotate`. A failed rotation rejects its
+    // EVENT before any frame byte is written, and the next EVENT rotates
+    // the still-open full tail. Every OK event must replay after the
+    // restart, and no ERR event may.
+    let faults = FaultPlan::new(11).with(FaultPoint::WalRotate, Permanent, Trigger::Every { k: 2 });
+    let mut got = run(
+        &model,
+        &script(),
+        &Config {
+            faults,
+            ..crash(10)
+        },
+    );
+    let rejected: Vec<usize> = (0..10)
+        .filter(|&i| !got.replies[i].starts_with("OK "))
+        .collect();
+    assert_eq!(rejected, [4, 7], "{:?}", &got.replies[..10]);
+    for &i in &rejected {
+        assert!(
+            got.replies[i].starts_with("ERR exec "),
+            "{}",
+            got.replies[i]
+        );
+    }
+    assert_eq!(got.recovery.unwrap().replayed, 8);
+    let accepted: Vec<String> = script()
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| !rejected.contains(i))
+        .map(|(_, line)| line)
+        .collect();
+    for &i in rejected.iter().rev() {
+        got.replies.remove(i);
+    }
+    assert_same(&run(&model, &accepted, &Config::default()), &got);
+}
+
+#[test]
 fn transient_wal_faults_are_retried_invisibly() {
     let model = trained_model(7);
     // One transient fault on each WAL point: the retry policy absorbs all
@@ -130,6 +172,7 @@ fn transient_wal_faults_are_retried_invisibly() {
     let faults = FaultPlan::new(3)
         .with(FaultPoint::WalAppend, Transient, Trigger::Nth { n: 2 })
         .with(FaultPoint::WalFsync, Transient, Trigger::Nth { n: 5 })
+        .with(FaultPoint::WalRotate, Transient, Trigger::Nth { n: 2 })
         .with(FaultPoint::WalReplay, Transient, Trigger::Nth { n: 3 });
     let got = run(
         &model,
