@@ -8,9 +8,10 @@
 
 use crate::static_gnn::{StaticGnn, StaticGraph};
 use crate::static_train::{rows_dot, StaticTrainConfig};
+use cpdg_dgnn::train_step;
 use cpdg_graph::NodeId;
 use cpdg_tensor::nn::init::xavier_uniform;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{Forward, ParamId, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -76,10 +77,9 @@ pub fn pretrain_dgi(
 
         let loss = cpdg_tensor::loss::link_prediction_loss(&mut tape, pos, neg);
         last = tape.value(loss).get(0, 0);
-        let grads = tape.backward(loss);
-        let mut pg = tape.param_grads(&grads);
-        clip_global_norm(&mut pg, cfg.grad_clip);
-        opt.step(store, &pg);
+        if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+            update.apply(opt, store);
+        }
     }
     last
 }

@@ -19,10 +19,10 @@
 //! method's weak and occasionally unstable behaviour in the paper's
 //! Tables V and VII (including the NaN entry).
 
-use cpdg_dgnn::DgnnEncoder;
+use cpdg_dgnn::{train_step, DgnnEncoder};
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::nn::init::xavier_uniform;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{Forward, Matrix, ParamId, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -128,10 +128,9 @@ pub fn pretrain_ddgcl(
             let loss = cpdg_tensor::loss::link_prediction_loss(&mut tape, pos, neg);
             total += f64::from(tape.value(loss).get(0, 0));
             batches += 1;
-            let grads = tape.backward(loss);
-            let mut pg = tape.param_grads(&grads);
-            clip_global_norm(&mut pg, cfg.grad_clip);
-            opt.step(store, &pg);
+            if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+                update.apply(opt, store);
+            }
             encoder.commit(&tape, ctx, chunk);
         }
         out.push((total / batches.max(1) as f64) as f32);
@@ -192,10 +191,9 @@ pub fn pretrain_selfrgnn(
             let loss = tape.mean_all(weighted);
             total += f64::from(tape.value(loss).get(0, 0));
             batches += 1;
-            let grads = tape.backward(loss);
-            let mut pg = tape.param_grads(&grads);
-            clip_global_norm(&mut pg, cfg.grad_clip);
-            opt.step(store, &pg);
+            if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+                update.apply(opt, store);
+            }
             encoder.commit(&tape, ctx, chunk);
         }
         out.push((total / batches.max(1) as f64) as f32);

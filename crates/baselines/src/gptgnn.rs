@@ -8,8 +8,9 @@
 
 use crate::static_gnn::{StaticGnn, StaticGraph};
 use crate::static_train::{dst_pool, rows_dot, sample_edge_batch, StaticTrainConfig};
+use cpdg_dgnn::train_step;
 use cpdg_graph::DynamicGraph;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{ParamStore, Tape};
 use rand::rngs::StdRng;
 
@@ -37,10 +38,9 @@ pub fn pretrain_gptgnn(
         let neg = rows_dot(&mut tape, z_src, z_neg);
         let loss = cpdg_tensor::loss::link_prediction_loss(&mut tape, pos, neg);
         last = tape.value(loss).get(0, 0);
-        let grads = tape.backward(loss);
-        let mut pg = tape.param_grads(&grads);
-        clip_global_norm(&mut pg, cfg.grad_clip);
-        opt.step(store, &pg);
+        if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+            update.apply(opt, store);
+        }
     }
     last
 }

@@ -7,10 +7,10 @@
 
 use crate::static_gnn::{StaticGnn, StaticGraph};
 use cpdg_dgnn::metrics::link_prediction_metrics;
-use cpdg_dgnn::LinkPredictor;
+use cpdg_dgnn::{train_step, LinkPredictor};
 use cpdg_graph::{DynamicGraph, NodeId};
 use cpdg_tensor::loss::link_prediction_loss;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{Forward, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -108,10 +108,9 @@ pub fn train_static_link_prediction(
         let neg = head.score(&mut tape, store, z_src, z_neg);
         let loss = link_prediction_loss(&mut tape, pos, neg);
         last = tape.value(loss).get(0, 0);
-        let grads = tape.backward(loss);
-        let mut pg = tape.param_grads(&grads);
-        clip_global_norm(&mut pg, cfg.grad_clip);
-        opt.step(store, &pg);
+        if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+            update.apply(opt, store);
+        }
     }
     last
 }

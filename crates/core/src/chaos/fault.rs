@@ -19,7 +19,8 @@ pub enum FaultPoint {
     LoaderRow,
     /// One contrast-subgraph sampling batch inside the pre-training loop.
     SamplerBatch,
-    /// One encoder memory commit inside the pre-training loop.
+    /// One healthy pre-training step, after the guard's verdict and
+    /// before its optimiser and memory writes.
     MemoryUpdate,
     /// One checkpoint publish (the whole atomic save, pointer included).
     CkptSave,

@@ -33,11 +33,11 @@ use crate::model_io::ModelFile;
 use crate::storage::Storage;
 use cpdg_dgnn::trainer::eval_link_prediction;
 use cpdg_dgnn::{
-    DgnnConfig, DgnnEncoder, GuardConfig, LinkPredictor, StepVerdict, TrainConfig, TrainGuard,
+    train_step, DgnnConfig, DgnnEncoder, GuardConfig, LinkPredictor, TrainConfig, TrainGuard,
 };
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::loss::triplet_margin;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -454,22 +454,16 @@ impl ContinualTrainer {
             let rot: Vec<usize> = (0..shared.len()).map(|i| (i + 1) % shared.len()).collect();
             let z_neg = tape.gather_rows(z_b, &rot);
             let loss = triplet_margin(&mut tape, z_a, z_b, z_neg, self.cfg.margin);
-            let loss_val = tape.value(loss).get(0, 0);
-            let grads = tape.backward(loss);
-            let mut pg = tape.param_grads(&grads);
-            let pre_norm = clip_global_norm(&mut pg, self.cfg.grad_clip);
-            match self.guard.inspect(self.step, loss_val, pre_norm) {
-                Ok(StepVerdict::Proceed) => {
-                    total += f64::from(loss_val);
+            let guard = Some((&mut self.guard, self.step));
+            match train_step(&tape, loss, self.cfg.grad_clip, guard) {
+                Ok(Some(update)) => {
+                    total += f64::from(tape.value(loss).get(0, 0));
                     steps += 1;
-                    let base_lr = self.opt.lr;
-                    self.opt.lr = base_lr * self.guard.lr_scale();
-                    self.opt.step(&mut self.store, &pg);
-                    self.opt.lr = base_lr;
+                    update.apply(&mut self.opt, &mut self.store);
                     self.encoder.commit(&tape, ctx, chunk);
                     self.windows_trained += 1;
                 }
-                Ok(StepVerdict::Skip) => {
+                Ok(None) => {
                     self.encoder.skip_commit(chunk);
                     skipped += 1;
                 }

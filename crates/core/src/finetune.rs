@@ -17,11 +17,11 @@
 
 use crate::eie::{EieFusion, EieModule};
 use cpdg_dgnn::trainer::NegativeSampler;
-use cpdg_dgnn::{metrics, DgnnEncoder, LinkPredictor, MemorySnapshot, NodeClassifier};
+use cpdg_dgnn::{metrics, train_step, DgnnEncoder, LinkPredictor, MemorySnapshot, NodeClassifier};
 use cpdg_graph::split::chrono_boundaries;
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::loss::link_prediction_loss;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{Forward, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -228,10 +228,9 @@ pub fn finetune_link_prediction(
             let neg = model.head.score(&mut tape, store, z_src, z_neg);
             let loss = link_prediction_loss(&mut tape, pos, neg);
 
-            let grads = tape.backward(loss);
-            let mut pg = tape.param_grads(&grads);
-            clip_global_norm(&mut pg, cfg.grad_clip);
-            opt.step(store, &pg);
+            if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+                update.apply(&mut opt, store);
+            }
             encoder.commit(&tape, ctx, chunk);
         }
         // --- validation scores on [train_end, val_end): memory is warm
@@ -504,9 +503,9 @@ pub fn finetune_node_classification(
         let x = tape.constant(train_x.clone());
         let logits = clf.score(&mut tape, &clf_store, x);
         let loss = tape.bce_with_logits(logits, train_y.clone());
-        let grads = tape.backward(loss);
-        let pg = tape.param_grads(&grads);
-        opt.step(&mut clf_store, &pg);
+        if let Ok(Some(update)) = train_step(&tape, loss, f32::INFINITY, None) {
+            update.apply(&mut opt, &mut clf_store);
+        }
 
         let val_scores = classify(&clf, &clf_store, &feats[train_end..val_end], feat_dim);
         let val_auc = metrics::roc_auc(&val_scores, &labels[train_end..val_end]);

@@ -31,10 +31,10 @@ use crate::objective::CpdgObjective;
 use crate::sampler::batch::BatchSampler;
 use crate::storage::{Storage, FS_STORAGE};
 use cpdg_dgnn::trainer::NegativeSampler;
-use cpdg_dgnn::{DgnnEncoder, GuardConfig, LinkPredictor, MemorySnapshot, StepVerdict, TrainGuard};
+use cpdg_dgnn::{train_step, DgnnEncoder, GuardConfig, LinkPredictor, MemorySnapshot, TrainGuard};
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::loss::link_prediction_loss;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -454,28 +454,20 @@ pub fn pretrain_resumable(
             };
 
             let total = cfg.objective.combine(&mut tape, tlp, tc_loss, sc_loss);
-            let loss_val = tape.value(total).get(0, 0);
 
-            let grads = tape.backward(total);
-            let mut pg = tape.param_grads(&grads);
-            let pre_norm = clip_global_norm(&mut pg, cfg.grad_clip);
-
-            match guard.inspect(step, loss_val, pre_norm) {
-                Ok(StepVerdict::Proceed) => {
+            match train_step(&tape, total, cfg.grad_clip, Some((&mut guard, step))) {
+                Ok(Some(update)) => {
                     consult(FaultPoint::MemoryUpdate)?;
-                    let base_lr = opt.lr;
-                    opt.lr = base_lr * guard.lr_scale();
-                    opt.step(store, &pg);
-                    opt.lr = base_lr;
+                    update.apply(opt, store);
                     encoder.commit(&tape, ctx, chunk);
 
                     sums.tlp += tape.value(tlp).get(0, 0);
                     sums.tc += tc_loss.map(|v| tape.value(v).get(0, 0)).unwrap_or(0.0);
                     sums.sc += sc_loss.map(|v| tape.value(v).get(0, 0)).unwrap_or(0.0);
-                    sums.total += loss_val;
+                    sums.total += tape.value(total).get(0, 0);
                     batches += 1;
                 }
-                Ok(StepVerdict::Skip) => {
+                Ok(None) => {
                     // Drop gradients and state writes, but keep chronology:
                     // the batch's events still become pending messages.
                     encoder.skip_commit(chunk);

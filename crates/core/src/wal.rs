@@ -51,7 +51,9 @@
 //!
 //! Fsync cadence is configurable via [`FsyncPolicy`]: `always` (sync
 //! every append), `every-N` (sync each N-th append), or `os` (leave
-//! flushing to the OS page cache — fastest, weakest).
+//! flushing to the OS page cache — fastest, weakest). Under `always` and
+//! `every-N` a newly created segment also syncs the WAL directory, so its
+//! directory entry survives power loss; `os` promises no such survival.
 //!
 //! Chaos integration: appends consult the `wal.append` and `wal.fsync`
 //! fault points, the rotation that seals a full tail consults
@@ -232,6 +234,12 @@ pub struct Wal {
 
 fn segment_path(dir: &Path, start: u64) -> PathBuf {
     dir.join(format!("wal-{start:016x}.seg"))
+}
+
+/// Syncs the directory `dir` itself, so the entries of segments created
+/// in it survive power loss.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 fn segment_header(start: u64) -> [u8; SEGMENT_HEADER_LEN as usize] {
@@ -502,6 +510,9 @@ impl Wal {
                 file.write_all(&segment_header(next_index))
                     .map_err(|e| CpdgError::io(&path, e))?;
                 file.sync_data().map_err(|e| CpdgError::io(&path, e))?;
+                if config.fsync != FsyncPolicy::Os {
+                    sync_dir(dir).map_err(|e| CpdgError::io(dir, e))?;
+                }
                 (path, next_index, SEGMENT_HEADER_LEN, file)
             }
         };
@@ -551,14 +562,6 @@ impl Wal {
     /// when the log has never been truncated).
     pub fn next_index(&self) -> u64 {
         self.next_index
-    }
-
-    /// Index of the first record still present in the log.
-    pub fn first_index(&self) -> u64 {
-        self.sealed
-            .first()
-            .map(|s| s.start)
-            .unwrap_or(self.seg_start)
     }
 
     /// Live segment files (sealed + the open tail).
@@ -673,7 +676,8 @@ impl Wal {
 
     /// Seals the open tail (final fsync) and opens a fresh segment after
     /// it, consulting the `wal.rotate` fault point. Only once the new
-    /// segment's header is synced are the old tail's replicas published
+    /// segment's header is synced (and, unless the policy is `os`, the
+    /// directory entry naming it) are the old tail's replicas published
     /// and the tail listed as sealed; on failure the old tail stays open
     /// and unlisted, and the next append tries again. Only a successful
     /// append fills a tail, so no torn bytes lie past the one sealed here.
@@ -681,7 +685,7 @@ impl Wal {
         let start = self.next_index;
         let path = segment_path(&self.dir, start);
         let opened = {
-            let (file, hook) = (&self.file, &self.hook);
+            let (file, hook, dir) = (&self.file, &self.hook, &self.dir);
             self.config.retry.run(FaultPoint::WalRotate.name(), || {
                 hook.check(FaultPoint::WalRotate).map_err(Fault::into_io)?;
                 file.sync_data()?;
@@ -693,6 +697,9 @@ impl Wal {
                     .open(&path)?;
                 next.write_all(&segment_header(start))?;
                 next.sync_data()?;
+                if self.config.fsync != FsyncPolicy::Os {
+                    sync_dir(dir)?;
+                }
                 Ok(next)
             })
         };

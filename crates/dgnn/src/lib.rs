@@ -36,6 +36,7 @@ pub mod encoder;
 pub mod guard;
 pub mod memory;
 pub mod metrics;
+pub mod step;
 pub mod trainer;
 
 pub use config::{AggKind, DgnnConfig, EmbedKind, EncoderKind, MemKind, MsgKind};
@@ -44,4 +45,5 @@ pub use decoder::{LinkPredictor, NodeClassifier};
 pub use encoder::{BatchContext, DgnnEncoder, EncoderState, PendingStates};
 pub use guard::{DivergenceReport, GuardConfig, StepVerdict, TrainGuard};
 pub use memory::{Memory, MemorySnapshot};
+pub use step::{train_step, Update};
 pub use trainer::{EvalScores, NegativeSampler, TrainConfig};

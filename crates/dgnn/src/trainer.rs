@@ -9,10 +9,11 @@
 
 use crate::decoder::LinkPredictor;
 use crate::encoder::DgnnEncoder;
-use crate::guard::{DivergenceReport, GuardConfig, StepVerdict, TrainGuard};
+use crate::guard::{DivergenceReport, GuardConfig, TrainGuard};
+use crate::step::train_step;
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::loss::link_prediction_loss;
-use cpdg_tensor::optim::{clip_global_norm, Adam};
+use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{Eval, Forward, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -143,22 +144,14 @@ pub fn train_link_prediction_guarded(
             let pos_logits = head.score(&mut tape, store, z_src, z_dst);
             let neg_logits = head.score(&mut tape, store, z_src, z_neg);
             let loss = link_prediction_loss(&mut tape, pos_logits, neg_logits);
-            let loss_val = tape.value(loss).get(0, 0);
-
-            let grads = tape.backward(loss);
-            let mut pg = tape.param_grads(&grads);
-            let pre_norm = clip_global_norm(&mut pg, cfg.grad_clip);
-            match guard.inspect(step, loss_val, pre_norm) {
-                Ok(StepVerdict::Proceed) => {
-                    total += f64::from(loss_val);
+            match train_step(&tape, loss, cfg.grad_clip, Some((&mut *guard, step))) {
+                Ok(Some(update)) => {
+                    total += f64::from(tape.value(loss).get(0, 0));
                     batches += 1;
-                    let base_lr = opt.lr;
-                    opt.lr = base_lr * guard.lr_scale();
-                    opt.step(store, &pg);
-                    opt.lr = base_lr;
+                    update.apply(opt, store);
                     encoder.commit(&tape, ctx, chunk);
                 }
-                Ok(StepVerdict::Skip) => encoder.skip_commit(chunk),
+                Ok(None) => encoder.skip_commit(chunk),
                 Err(report) => return Err((epoch_losses, report)),
             }
             step += 1;

@@ -1,7 +1,5 @@
 //! Dynamically typed structured-log field values.
 
-use crate::json;
-
 /// A structured-log field value. Conversions exist from the primitive
 /// types the workspace logs (integers, floats, bools, strings), so call
 /// sites can write `key = some_usize` without manual wrapping.
@@ -36,24 +34,6 @@ impl Value {
                     out.push_str(s);
                 }
             }
-        }
-    }
-
-    /// Appends the value as JSON. Non-finite floats (which JSON cannot
-    /// represent) render as `null`.
-    pub fn render_json(&self, out: &mut String) {
-        match self {
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => json::escape_into(s, out),
         }
     }
 }
@@ -137,12 +117,9 @@ mod tests {
 
     #[test]
     fn nonfinite_floats_render_as_json_null() {
-        let mut s = String::new();
-        Value::F64(f64::NAN).render_json(&mut s);
-        assert_eq!(s, "null");
-        s.clear();
-        Value::F64(f64::INFINITY).render_json(&mut s);
-        assert_eq!(s, "null");
+        for v in [f64::NAN, f64::INFINITY] {
+            assert_eq!(crate::Json::from(Value::F64(v)).render(), "null");
+        }
     }
 
     #[test]

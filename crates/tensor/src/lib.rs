@@ -4,7 +4,7 @@
 //! matrices, an arena-based reverse-mode autodiff tape and a forward-only
 //! evaluator sharing its op code, the neural modules needed by dynamic
 //! graph neural networks (linear/MLP/GRU/RNN/attention/time-encoding),
-//! losses, and optimisers.
+//! losses, and the Adam optimiser.
 //!
 //! It exists because the CPDG reproduction (ICDE 2024) needs contrastive
 //! training of DGNN encoders, and no mature Rust GNN training stack exists;

@@ -1,4 +1,5 @@
-//! First-order optimisers over a [`ParamStore`].
+//! The Adam optimiser over a [`ParamStore`] and global-norm gradient
+//! clipping.
 
 use crate::matrix::Matrix;
 use crate::param::{ParamId, ParamStore};
@@ -18,30 +19,6 @@ pub fn clip_global_norm(grads: &mut [(ParamId, Matrix)], max_norm: f32) -> f32 {
         }
     }
     total
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// A new SGD optimiser.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// Applies one descent step.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &[(ParamId, Matrix)]) {
-        for (id, g) in grads {
-            let p = store.value_mut(*id);
-            for (w, &gv) in p.data_mut().iter_mut().zip(g.data().iter()) {
-                *w -= self.lr * gv;
-            }
-        }
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction and optional decoupled weight
@@ -142,12 +119,6 @@ impl Adam {
             }
         }
     }
-
-    /// Resets all moment state (used when reusing one optimiser across
-    /// independent training stages).
-    pub fn reset(&mut self) {
-        self.state.clear();
-    }
 }
 
 #[cfg(test)]
@@ -175,13 +146,6 @@ mod tests {
             step(&mut store, pg);
         }
         store.value(w).get(0, 0)
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let w = minimise(|s, g| opt.step(s, &g), 100);
-        assert!((w - 3.0).abs() < 1e-3, "sgd converged to {w}");
     }
 
     #[test]
