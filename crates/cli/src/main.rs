@@ -166,7 +166,9 @@ Fault injection (pretrain / finetune):
   --chaos-plan <f>  read a JSON fault plan and inject deterministic faults at
                     the named points (storage.write, ckpt.save, loader.row, …).
                     Transient faults are retried with exponential backoff;
-                    permanent ones surface as typed errors. See DESIGN.md.
+                    permanent ones surface as typed errors. A storage.write
+                    fault with `persist: N` tears the write (N bytes land,
+                    then it fails). See DESIGN.md.
 
 Common options (every command):
   --log-level <error|warn|info|debug|trace>  stderr diagnostic verbosity
@@ -1143,13 +1145,7 @@ fn load_data(
     opts: &LoadOptions,
     hook: &FaultHook,
 ) -> CpdgResult<cpdg_graph::loader::LoadedGraph> {
-    let loaded = load_jodie_chaos(
-        &FS_STORAGE,
-        Path::new(path),
-        opts,
-        &RetryPolicy::default(),
-        hook,
-    )?;
+    let loaded = load_jodie_chaos(Path::new(path), opts, &RetryPolicy::default(), hook)?;
     if !loaded.quarantine.is_empty() {
         cpdg_obs::emit_metrics(
             "ingest",

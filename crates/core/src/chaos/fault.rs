@@ -9,10 +9,12 @@ use std::str::FromStr;
 /// in production code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// A raw byte write through the [`Storage`](crate::storage::Storage)
-    /// trait (including the temp-file leg of atomic publishes).
+    /// A raw byte write through [`Storage`](crate::storage::Storage)
+    /// (including the temp-file leg of atomic publishes). A spec with
+    /// `persist: n` tears the write: it lands the first `n` bytes, then
+    /// fails.
     StorageWrite,
-    /// A raw byte read through the `Storage` trait.
+    /// A raw byte read through [`Storage`](crate::storage::Storage).
     StorageRead,
     /// One data row of JODIE CSV ingestion (a fired fault corrupts the
     /// row stream with a malformed line; see [`super::ingest`]).
@@ -226,6 +228,9 @@ pub struct FaultSpec {
     pub kind: FaultKind,
     /// When to fire, in hits of `point`.
     pub trigger: Trigger,
+    /// `storage.write` only: a fired fault first persists this many
+    /// leading bytes (a torn write), then fails.
+    pub persist: Option<usize>,
 }
 
 /// A complete, seedable fault schedule. Written to and read from JSON for
@@ -236,10 +241,15 @@ pub struct FaultSpec {
 ///   "seed": 7,
 ///   "faults": [
 ///     {"point": "storage.write", "kind": "transient", "trigger": {"when": "every", "k": 3}},
-///     {"point": "ckpt.save", "kind": "permanent", "trigger": {"when": "nth", "n": 2}}
+///     {"point": "ckpt.save", "kind": "permanent", "trigger": {"when": "nth", "n": 2}},
+///     {"point": "storage.write", "kind": "permanent", "trigger": {"when": "nth", "n": 5}, "persist": 16}
 ///   ]
 /// }
 /// ```
+///
+/// `persist` (allowed on `storage.write` only) tears the write: the first
+/// `persist` bytes land before the fault is raised, as when a process
+/// dies mid-write.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the probability triggers (irrelevant to `nth`/`every`).
@@ -263,6 +273,19 @@ impl FaultPlan {
             point,
             kind,
             trigger,
+            persist: None,
+        });
+        self
+    }
+
+    /// Adds a torn-write rule: a fired `storage.write` fault persists the
+    /// first `persist` bytes, then fails (builder style).
+    pub fn with_torn_write(mut self, kind: FaultKind, trigger: Trigger, persist: usize) -> Self {
+        self.faults.push(FaultSpec {
+            point: FaultPoint::StorageWrite,
+            kind,
+            trigger,
+            persist: Some(persist),
         });
         self
     }
@@ -287,11 +310,15 @@ impl FaultPlan {
                 FaultKind::Permanent => "permanent",
             };
             let trigger = Json::obj(vec![("when", when.into()), (key, arg)]);
-            Json::obj(vec![
+            let mut fields = vec![
                 ("point", f.point.name().into()),
                 ("kind", kind.into()),
                 ("trigger", trigger),
-            ])
+            ];
+            if let Some(n) = f.persist {
+                fields.push(("persist", n.into()));
+            }
+            Json::obj(fields)
         };
         let faults = Json::Arr(self.faults.iter().map(spec).collect());
         Json::obj(vec![("seed", self.seed.into()), ("faults", faults)]).pretty()
@@ -342,10 +369,22 @@ fn spec_from_json(fault: &Json) -> Result<FaultSpec, String> {
         },
         _ => return Err("trigger \"when\" must be \"nth\", \"every\" or \"prob\"".to_string()),
     };
+    let point: FaultPoint = text("point")?.parse()?;
+    let persist = match fault.get("persist").map(Json::as_u64) {
+        None => None,
+        Some(Some(n)) if point == FaultPoint::StorageWrite => Some(n as usize),
+        Some(Some(_)) => {
+            return Err(format!(
+                "\"persist\" applies to storage.write only, not {point}"
+            ))
+        }
+        Some(None) => return Err("\"persist\" must be a non-negative integer".to_string()),
+    };
     Ok(FaultSpec {
-        point: text("point")?.parse()?,
+        point,
         kind,
         trigger,
+        persist,
     })
 }
 
@@ -422,9 +461,11 @@ mod tests {
                 FaultPoint::LoaderRow,
                 FaultKind::Transient,
                 Trigger::Prob { p: 0.25 },
-            );
+            )
+            .with_torn_write(FaultKind::Permanent, Trigger::Nth { n: 5 }, 16);
         let json = plan.to_json();
         assert!(json.contains("\"storage.write\""), "{json}");
+        assert!(json.contains("\"persist\": 16"), "{json}");
         assert_eq!(FaultPlan::from_json(&json).unwrap(), plan);
     }
 
@@ -456,6 +497,10 @@ mod tests {
                 "\"p\"",
             ),
             (fault(r#""kind":"transient""#), "trigger"),
+            (
+                fault(r#""kind":"permanent","trigger":{"when":"nth","n":1},"persist":16"#),
+                "storage.write only",
+            ),
             (r#"{"seed":"7"}"#.to_string(), "seed"),
             (r#"{"faults":{}}"#.to_string(), "array"),
             (r#"{"seed":7} {}"#.to_string(), "trailing"),

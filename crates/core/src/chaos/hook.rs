@@ -1,11 +1,8 @@
-//! The fault hook threaded through the pipeline, and the chaos storage
-//! wrapper that injects faults into raw byte I/O.
+//! The fault hook threaded through the pipeline.
 
 use super::fault::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
-use crate::storage::Storage;
 use std::fmt;
 use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,6 +16,9 @@ pub struct Fault {
     pub point: FaultPoint,
     /// Transient (retryable) or permanent.
     pub kind: FaultKind,
+    /// For a torn `storage.write`: how many leading bytes the failing
+    /// write persists first (the firing spec's `persist`).
+    pub persist: Option<usize>,
 }
 
 impl Fault {
@@ -99,6 +99,7 @@ impl PlanState {
                 return Err(Fault {
                     point,
                     kind: s.spec.kind,
+                    persist: s.spec.persist,
                 });
             }
         }
@@ -118,7 +119,7 @@ pub struct FaultHook(Option<Arc<PlanState>>);
 
 impl FaultHook {
     /// The inert hook: every check passes, nothing is counted.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         Self(None)
     }
 
@@ -197,60 +198,11 @@ impl fmt::Debug for FaultHook {
     }
 }
 
-/// Wraps a [`Storage`] and consults the hook before every raw read and
-/// write (`storage.read` / `storage.write` fault points). Injected faults
-/// surface as [`io::Error`]s exactly where a flaky disk would raise them —
-/// inside the atomic-publish protocol for writes — so crash-safety
-/// machinery above is exercised for real.
-pub struct ChaosStorage<'a> {
-    inner: &'a dyn Storage,
-    hook: FaultHook,
-}
-
-impl<'a> ChaosStorage<'a> {
-    /// Wraps `inner`, injecting faults from `hook`.
-    pub fn new(inner: &'a dyn Storage, hook: FaultHook) -> Self {
-        Self { inner, hook }
-    }
-}
-
-impl Storage for ChaosStorage<'_> {
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.hook
-            .check(FaultPoint::StorageWrite)
-            .map_err(Fault::into_io)?;
-        self.inner.write(path, bytes)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.hook
-            .check(FaultPoint::StorageRead)
-            .map_err(Fault::into_io)?;
-        self.inner.read(path)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(path)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove_file(path)
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        self.inner.list(dir)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::fault::Trigger;
-    use crate::storage::FS_STORAGE;
+    use crate::storage::Storage;
 
     #[test]
     fn inert_hook_always_passes() {
@@ -302,6 +254,7 @@ mod tests {
         let t = Fault {
             point: FaultPoint::StorageWrite,
             kind: FaultKind::Transient,
+            persist: None,
         }
         .into_io();
         assert_eq!(t.kind(), io::ErrorKind::Interrupted);
@@ -309,6 +262,7 @@ mod tests {
         let p = Fault {
             point: FaultPoint::StorageRead,
             kind: FaultKind::Permanent,
+            persist: None,
         }
         .into_io();
         assert_ne!(p.kind(), io::ErrorKind::Interrupted);
@@ -330,7 +284,7 @@ mod tests {
                 FaultKind::Permanent,
                 Trigger::Nth { n: 2 },
             );
-        let storage = ChaosStorage::new(&FS_STORAGE, FaultHook::install(&plan));
+        let storage = Storage::new(FaultHook::install(&plan));
         // First write faults; the atomic protocol cleans up after itself.
         let err = storage.write_atomic(&path, b"payload").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);

@@ -1,8 +1,8 @@
 //! Chaos-aware JODIE ingestion.
 //!
 //! [`load_jodie_chaos`] is the hardened front door for dataset loading:
-//! the raw bytes come through the [`Storage`] trait under a
-//! [`RetryPolicy`] (with `storage.read` fault checks), the `loader.row`
+//! the raw bytes come through a [`Storage`] holding the hook, under a
+//! [`RetryPolicy`] (so `storage.read` faults are retried), the `loader.row`
 //! fault point can corrupt the row stream with injected malformed lines,
 //! and the parse itself honours [`LoadOptions`] — so a lenient load
 //! quarantines exactly the injected corruption while strict loading
@@ -15,7 +15,7 @@
 //! asserts.
 
 use super::fault::FaultPoint;
-use super::hook::{Fault, FaultHook};
+use super::hook::FaultHook;
 use super::retry::RetryPolicy;
 use crate::error::{CpdgError, CpdgResult};
 use crate::storage::Storage;
@@ -26,26 +26,23 @@ use std::path::Path;
 /// fault (its `user_id` field can never parse).
 pub const INJECTED_ROW: &str = "chaos,injected,malformed,row";
 
-/// Loads a JODIE CSV through the chaos harness: storage reads are
-/// retried under `retry` and consult the `storage.read` fault point;
-/// each data row consults `loader.row`, and fired faults splice a
-/// malformed line ([`INJECTED_ROW`]) into the stream before that row.
+/// Loads a JODIE CSV through the chaos harness: the file is read through
+/// a [`Storage`] holding `hook` (so it consults `storage.read`), retried
+/// under `retry`; each data row consults `loader.row`, and fired faults
+/// splice a malformed line ([`INJECTED_ROW`]) into the stream before that
+/// row.
 ///
 /// With an inert hook and [`RetryPolicy::none`] this is exactly
-/// `storage.read` + [`load_jodie_csv_with`].
+/// `std::fs::read` + [`load_jodie_csv_with`].
 pub fn load_jodie_chaos(
-    storage: &dyn Storage,
     path: &Path,
     opts: &LoadOptions,
     retry: &RetryPolicy,
     hook: &FaultHook,
 ) -> CpdgResult<LoadedGraph> {
+    let storage = Storage::new(hook.clone());
     let bytes = retry
-        .run(FaultPoint::StorageRead.name(), || {
-            hook.check(FaultPoint::StorageRead)
-                .map_err(Fault::into_io)?;
-            storage.read(path)
-        })
+        .run(FaultPoint::StorageRead.name(), || storage.read(path))
         .map_err(|e| CpdgError::io(path, e))?;
     let bytes = if hook.is_active() {
         inject_row_faults(&bytes, hook)
@@ -74,7 +71,6 @@ fn inject_row_faults(bytes: &[u8], hook: &FaultHook) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::chaos::fault::{FaultKind, FaultPlan, Trigger};
-    use crate::storage::FS_STORAGE;
     use std::path::PathBuf;
 
     const SAMPLE: &str = "\
@@ -96,7 +92,6 @@ user_id,item_id,timestamp,state_label
     fn inert_hook_loads_identically_to_plain_loader() {
         let path = write_sample("inert");
         let chaos = load_jodie_chaos(
-            &FS_STORAGE,
             &path,
             &LoadOptions::strict(),
             &RetryPolicy::none(),
@@ -119,14 +114,8 @@ user_id,item_id,timestamp,state_label
             Trigger::Every { k: 2 },
         );
         let hook = FaultHook::install(&plan);
-        let loaded = load_jodie_chaos(
-            &FS_STORAGE,
-            &path,
-            &LoadOptions::lenient(),
-            &RetryPolicy::none(),
-            &hook,
-        )
-        .unwrap();
+        let loaded =
+            load_jodie_chaos(&path, &LoadOptions::lenient(), &RetryPolicy::none(), &hook).unwrap();
         // 3 data rows hit loader.row; every 2nd fires → 1 injected line.
         assert_eq!(hook.injected_at(FaultPoint::LoaderRow), 1);
         assert_eq!(loaded.quarantine.total, 1);
@@ -145,7 +134,6 @@ user_id,item_id,timestamp,state_label
             Trigger::Nth { n: 1 },
         );
         let err = load_jodie_chaos(
-            &FS_STORAGE,
             &path,
             &LoadOptions::strict(),
             &RetryPolicy::none(),
@@ -166,7 +154,6 @@ user_id,item_id,timestamp,state_label
         );
         let hook = FaultHook::install(&plan);
         let loaded = load_jodie_chaos(
-            &FS_STORAGE,
             &path,
             &LoadOptions::strict(),
             &RetryPolicy {
@@ -191,7 +178,6 @@ user_id,item_id,timestamp,state_label
             Trigger::Nth { n: 1 },
         );
         let err = load_jodie_chaos(
-            &FS_STORAGE,
             &path,
             &LoadOptions::strict(),
             &RetryPolicy::default(),

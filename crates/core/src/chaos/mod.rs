@@ -10,11 +10,13 @@
 //!   `serve.worker`, and the durability points
 //!   `wal.append`/`wal.fsync`/`wal.rotate`/`wal.replay`) and *when* (nth-hit,
 //!   every-k, seeded probability) to raise typed transient or permanent
-//!   faults. Plans serialise to JSON so a chaos run is reproducible from
+//!   faults. A `storage.write` rule may also tear the write (`persist`:
+//!   land the first `n` bytes, then fail), so the plan is the only fault
+//!   injector. Plans serialise to JSON so a chaos run is reproducible from
 //!   a `--chaos-plan` file.
 //! * [`FaultHook`] ([`hook`]) — the lightweight handle threaded through
-//!   the [`Storage`](crate::storage::Storage) trait (via
-//!   [`ChaosStorage`]), the checkpoint manager
+//!   [`Storage`](crate::storage::Storage) (which checks `storage.write`
+//!   and `storage.read` itself), the checkpoint manager
 //!   ([`crate::checkpoint::CheckpointManager`]), ingestion, and the
 //!   trainer loops. With no plan installed, [`FaultHook::check`] is a
 //!   single `Option` test — a no-op on every hot path.
@@ -40,6 +42,6 @@ pub mod ingest;
 pub mod retry;
 
 pub use fault::{FaultKind, FaultPlan, FaultPoint, FaultSpec, Trigger};
-pub use hook::{ChaosStorage, Fault, FaultHook};
+pub use hook::{Fault, FaultHook};
 pub use ingest::load_jodie_chaos;
 pub use retry::RetryPolicy;

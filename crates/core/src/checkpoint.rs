@@ -17,7 +17,7 @@
 //! candidates newest-first and *skips* corrupt or truncated files with a
 //! warning, landing on the newest checkpoint that actually parses.
 
-use crate::chaos::{Fault, FaultHook, FaultPoint, RetryPolicy};
+use crate::chaos::{Fault, FaultPoint, RetryPolicy};
 use crate::error::{CpdgError, CpdgResult};
 use crate::pretrain::LossBreakdown;
 use crate::storage::Storage;
@@ -87,12 +87,11 @@ impl CheckpointConfig {
 
 /// Writes rotating checkpoints through a [`Storage`]. Every publish and
 /// candidate read runs under a [`RetryPolicy`] and consults the
-/// `ckpt.save` / `ckpt.load` fault points — inert by default, active
-/// when constructed [`with_chaos`](CheckpointManager::with_chaos).
-pub struct CheckpointManager<'s> {
+/// `ckpt.save` / `ckpt.load` fault points of the storage's hook — inert
+/// for [`FS_STORAGE`](crate::storage::FS_STORAGE).
+pub struct CheckpointManager {
     cfg: CheckpointConfig,
-    storage: &'s dyn Storage,
-    hook: FaultHook,
+    storage: Storage,
     retry: RetryPolicy,
 }
 
@@ -107,19 +106,17 @@ fn is_checkpoint_file(path: &Path) -> bool {
         .unwrap_or(false)
 }
 
-impl<'s> CheckpointManager<'s> {
+impl CheckpointManager {
     /// Creates the checkpoint directory and a manager writing into it
-    /// (no fault injection, default retry policy).
-    pub fn new(cfg: CheckpointConfig, storage: &'s dyn Storage) -> CpdgResult<Self> {
-        Self::with_chaos(cfg, storage, FaultHook::none(), RetryPolicy::default())
+    /// (default retry policy).
+    pub fn new(cfg: CheckpointConfig, storage: &Storage) -> CpdgResult<Self> {
+        Self::with_retry(cfg, storage, RetryPolicy::default())
     }
 
-    /// Like [`CheckpointManager::new`], but with an explicit fault hook
-    /// and retry policy for chaos runs.
-    pub fn with_chaos(
+    /// Like [`CheckpointManager::new`], but with an explicit retry policy.
+    pub fn with_retry(
         cfg: CheckpointConfig,
-        storage: &'s dyn Storage,
-        hook: FaultHook,
+        storage: &Storage,
         retry: RetryPolicy,
     ) -> CpdgResult<Self> {
         storage
@@ -127,8 +124,7 @@ impl<'s> CheckpointManager<'s> {
             .map_err(|e| CpdgError::io(&cfg.dir, e))?;
         Ok(Self {
             cfg,
-            storage,
-            hook,
+            storage: storage.clone(),
             retry,
         })
     }
@@ -157,7 +153,8 @@ impl<'s> CheckpointManager<'s> {
         // `ckpt.save` fault point is consulted once per attempt.
         self.retry
             .run(FaultPoint::CkptSave.name(), || {
-                self.hook
+                self.storage
+                    .hook()
                     .check(FaultPoint::CkptSave)
                     .map_err(Fault::into_io)?;
                 self.storage.write_atomic(&path, &bytes)?;
@@ -201,20 +198,19 @@ impl<'s> CheckpointManager<'s> {
     /// bump). Returns `Ok(None)` when the directory has no usable
     /// checkpoint.
     pub fn load_latest(
-        storage: &dyn Storage,
+        storage: &Storage,
         dir: &Path,
     ) -> CpdgResult<Option<(TrainCheckpoint, PathBuf)>> {
-        Self::load_latest_with(storage, dir, &FaultHook::none(), &RetryPolicy::default())
+        Self::load_latest_with(storage, dir, &RetryPolicy::default())
     }
 
     /// Like [`CheckpointManager::load_latest`], but candidate reads run
-    /// under `retry` and consult the `ckpt.load` fault point. A candidate
-    /// whose read faults permanently is skipped like a corrupt file, so
-    /// resume falls back to the next-newest checkpoint.
+    /// under `retry` and consult the storage hook's `ckpt.load` fault
+    /// point. A candidate whose read faults permanently is skipped like a
+    /// corrupt file, so resume falls back to the next-newest checkpoint.
     pub fn load_latest_with(
-        storage: &dyn Storage,
+        storage: &Storage,
         dir: &Path,
-        hook: &FaultHook,
         retry: &RetryPolicy,
     ) -> CpdgResult<Option<(TrainCheckpoint, PathBuf)>> {
         let mut candidates: Vec<PathBuf> = Vec::new();
@@ -243,7 +239,7 @@ impl<'s> CheckpointManager<'s> {
         }
 
         for path in candidates {
-            match Self::load_one(storage, &path, hook, retry) {
+            match Self::load_one(storage, &path, retry) {
                 Ok(ckpt) => return Ok(Some((ckpt, path))),
                 Err(e) => {
                     cpdg_obs::counter!("checkpoint.load_skips").inc();
@@ -260,14 +256,16 @@ impl<'s> CheckpointManager<'s> {
     }
 
     fn load_one(
-        storage: &dyn Storage,
+        storage: &Storage,
         path: &Path,
-        hook: &FaultHook,
         retry: &RetryPolicy,
     ) -> CpdgResult<TrainCheckpoint> {
         let bytes = retry
             .run(FaultPoint::CkptLoad.name(), || {
-                hook.check(FaultPoint::CkptLoad).map_err(Fault::into_io)?;
+                storage
+                    .hook()
+                    .check(FaultPoint::CkptLoad)
+                    .map_err(Fault::into_io)?;
                 storage.read(path)
             })
             .map_err(|e| CpdgError::io(path, e))?;
@@ -279,6 +277,7 @@ impl<'s> CheckpointManager<'s> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::chaos::FaultHook;
     use crate::codec::{Decode, Reader};
     use crate::storage::FS_STORAGE;
     use cpdg_dgnn::{GuardConfig, Memory};
@@ -514,10 +513,9 @@ pub(crate) mod tests {
             Trigger::Nth { n: 1 },
         );
         let hook = FaultHook::install(&plan);
-        let mgr = CheckpointManager::with_chaos(
+        let mgr = CheckpointManager::with_retry(
             CheckpointConfig::new(&dir),
-            &FS_STORAGE,
-            hook.clone(),
+            &Storage::new(hook.clone()),
             RetryPolicy {
                 max_attempts: 3,
                 base_delay_ms: 0,
@@ -544,10 +542,9 @@ pub(crate) mod tests {
             FaultKind::Permanent,
             Trigger::Nth { n: 2 },
         );
-        let mgr = CheckpointManager::with_chaos(
+        let mgr = CheckpointManager::with_retry(
             CheckpointConfig::new(&dir),
-            &FS_STORAGE,
-            FaultHook::install(&plan),
+            &Storage::new(FaultHook::install(&plan)),
             RetryPolicy {
                 max_attempts: 3,
                 base_delay_ms: 0,
@@ -582,9 +579,8 @@ pub(crate) mod tests {
             Trigger::Nth { n: 1 },
         );
         let (ckpt, path) = CheckpointManager::load_latest_with(
-            &FS_STORAGE,
+            &Storage::new(FaultHook::install(&plan)),
             &dir,
-            &FaultHook::install(&plan),
             &RetryPolicy::none(),
         )
         .unwrap()

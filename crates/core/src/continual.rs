@@ -491,7 +491,7 @@ impl ContinualTrainer {
     /// fired `trainer.emit` fault aborts before any bytes are written.
     pub fn emit_candidate(
         &self,
-        storage: &dyn Storage,
+        storage: &Storage,
         path: &Path,
         hook: &FaultHook,
     ) -> CpdgResult<()> {

@@ -48,8 +48,8 @@ pub mod storage;
 pub mod wal;
 
 pub use chaos::{
-    load_jodie_chaos, ChaosStorage, Fault, FaultHook, FaultKind, FaultPlan, FaultPoint, FaultSpec,
-    RetryPolicy, Trigger,
+    load_jodie_chaos, Fault, FaultHook, FaultKind, FaultPlan, FaultPoint, FaultSpec, RetryPolicy,
+    Trigger,
 };
 pub use checkpoint::{CheckpointConfig, CheckpointManager, TrainCheckpoint};
 pub use continual::{
@@ -69,5 +69,5 @@ pub use scrub::{
     read_sealed_replicated, write_replicated, ArtifactClass, CycleReport as ScrubCycleReport,
     ReplicatedRead, ScrubConfig, Scrubber,
 };
-pub use storage::{FsStorage, Storage, FS_STORAGE};
+pub use storage::{Storage, FS_STORAGE};
 pub use wal::{FsyncPolicy, RecoveryStats, Wal, WalCheckpoint, WalConfig};

@@ -56,26 +56,21 @@ impl ModelFile {
         self.save_with(&FS_STORAGE, path)
     }
 
-    /// [`ModelFile::save`] through an explicit [`Storage`] (fault-injection
-    /// point for crash-safety tests).
-    pub fn save_with(&self, storage: &dyn Storage, path: &Path) -> CpdgResult<()> {
+    /// [`ModelFile::save`] through an explicit [`Storage`] (one holding a
+    /// chaos plan's hook fails or tears the write).
+    pub fn save_with(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
         let payload = crate::codec::encode_artifact(self);
         storage
             .write_atomic(path, &crate::integrity::seal(&payload))
             .map_err(|e| CpdgError::io(path, e))
     }
 
-    /// Reads a bundle back, checking the version.
+    /// Reads a bundle back, checking the version. Reads the primary only
+    /// and verifies its CRC32 integrity footer; a file with no footer is
+    /// refused like a checksum mismatch. A candidate epoch's `.r1` replica
+    /// is healed by the scrubber, not here.
     pub fn load(path: &Path) -> CpdgResult<Self> {
-        Self::load_with(&FS_STORAGE, path)
-    }
-
-    /// [`ModelFile::load`] through an explicit [`Storage`]. Reads the
-    /// primary only and verifies its CRC32 integrity footer; a file with no
-    /// footer is refused like a checksum mismatch. A candidate epoch's
-    /// `.r1` replica is healed by the scrubber, not here.
-    pub fn load_with(storage: &dyn Storage, path: &Path) -> CpdgResult<Self> {
-        let bytes = storage.read(path).map_err(|e| CpdgError::io(path, e))?;
+        let bytes = FS_STORAGE.read(path).map_err(|e| CpdgError::io(path, e))?;
         let payload = crate::integrity::unseal(&bytes, path)?;
         crate::codec::decode_artifact(payload, path)
     }
@@ -85,7 +80,6 @@ impl ModelFile {
 mod tests {
     use super::*;
     use crate::codec::{decode_artifact, encode_artifact, refused_payloads, to_bytes};
-    use crate::storage::fault::TornWriteStorage;
     use cpdg_dgnn::EncoderKind;
     use cpdg_tensor::Matrix;
     use std::path::PathBuf;
@@ -259,17 +253,15 @@ mod tests {
 
     #[test]
     fn torn_write_residue_is_rejected_as_corrupt() {
-        // Simulate the legacy non-atomic writer dying mid-write directly on
-        // the destination, then prove the loader flags it instead of
-        // parsing garbage or panicking.
+        // Simulate a non-atomic writer dying mid-write directly on the
+        // destination (the first 64 sealed bytes land), then prove the
+        // loader flags it instead of parsing garbage or panicking.
         let dir = test_dir("torn");
         let path = dir.join("model.json");
-        let storage = TornWriteStorage::new();
-        let model = tiny_model();
-        model.save_with(&storage, &path).unwrap();
-        storage.tear_after(64);
-        model.save_with(&storage, &path).unwrap_err();
-        let err = ModelFile::load_with(&storage, &path).unwrap_err();
+        tiny_model().save(&path).unwrap();
+        let sealed = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &sealed[..64]).unwrap();
+        let err = ModelFile::load(&path).unwrap_err();
         assert!(matches!(err, CpdgError::Corrupt { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,14 +22,14 @@
 //! graph's own time-sorted adjacency; per-centre RNG streams derive from
 //! the batch seed.
 
-use crate::chaos::{ChaosStorage, Fault, FaultHook, FaultPoint, RetryPolicy};
+use crate::chaos::{Fault, FaultHook, FaultPoint, RetryPolicy};
 use crate::checkpoint::{CheckpointConfig, CheckpointManager, TrainCheckpoint, CHECKPOINT_VERSION};
 use crate::contrast::structural::{structural_contrast_loss, StructuralContrastConfig};
 use crate::contrast::temporal::{temporal_contrast_loss, TemporalContrastConfig};
 use crate::error::{CpdgError, CpdgResult};
 use crate::objective::CpdgObjective;
 use crate::sampler::batch::BatchSampler;
-use crate::storage::{Storage, FS_STORAGE};
+use crate::storage::Storage;
 use cpdg_dgnn::trainer::NegativeSampler;
 use cpdg_dgnn::{train_step, DgnnEncoder, GuardConfig, LinkPredictor, MemorySnapshot, TrainGuard};
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
@@ -100,9 +100,6 @@ pub struct PretrainRuntime<'s> {
     pub guard: GuardConfig,
     /// Where/how often to checkpoint; `None` disables persistence.
     pub checkpoint: Option<CheckpointConfig>,
-    /// Byte storage used for checkpoints (swap in a fault-injecting
-    /// implementation in tests).
-    pub storage: &'s dyn Storage,
     /// Continue from the newest valid checkpoint in `checkpoint.dir`
     /// instead of starting fresh.
     pub resume: bool,
@@ -111,7 +108,8 @@ pub struct PretrainRuntime<'s> {
     pub step_limit: Option<usize>,
     /// Fault-injection hook (inert by default). When a plan is installed,
     /// `storage.*`, `sampler.batch`, `memory.update`, and `ckpt.*` fault
-    /// points are consulted throughout the run.
+    /// points are consulted throughout the run; checkpoints go through a
+    /// [`Storage`] holding this hook.
     pub chaos: FaultHook,
     /// Retry policy for storage/checkpoint I/O and transient injected
     /// faults.
@@ -129,7 +127,6 @@ impl Default for PretrainRuntime<'static> {
         Self {
             guard: GuardConfig::default(),
             checkpoint: None,
-            storage: &FS_STORAGE,
             resume: false,
             step_limit: None,
             chaos: FaultHook::none(),
@@ -226,16 +223,7 @@ pub fn pretrain_resumable(
     let total_steps = (cfg.epochs * n_batches).max(1);
     let l = cfg.n_checkpoints.max(1);
 
-    // With a chaos plan installed, every raw byte read/write goes through
-    // the fault-injecting wrapper; otherwise the caller's storage is used
-    // directly (zero overhead).
-    let chaos_storage;
-    let storage: &dyn Storage = if runtime.chaos.is_active() {
-        chaos_storage = ChaosStorage::new(runtime.storage, runtime.chaos.clone());
-        &chaos_storage
-    } else {
-        runtime.storage
-    };
+    let storage = Storage::new(runtime.chaos.clone());
     // A non-storage fault point (sampler.batch / memory.update) raising a
     // transient fault is retried by re-consulting the point — the hit
     // counter advances, so an `nth`-triggered fault clears itself.
@@ -256,10 +244,9 @@ pub fn pretrain_resumable(
     };
 
     let manager = match &runtime.checkpoint {
-        Some(c) => Some(CheckpointManager::with_chaos(
+        Some(c) => Some(CheckpointManager::with_retry(
             c.clone(),
-            storage,
-            runtime.chaos.clone(),
+            &storage,
             runtime.retry,
         )?),
         None => None,
@@ -282,9 +269,8 @@ pub fn pretrain_resumable(
             .as_ref()
             .map(|c| c.dir.clone())
             .ok_or_else(|| CpdgError::Invalid("resume requires a checkpoint directory".into()))?;
-        let (ckpt, path) =
-            CheckpointManager::load_latest_with(storage, &dir, &runtime.chaos, &runtime.retry)?
-                .ok_or(CpdgError::NoCheckpoint { dir })?;
+        let (ckpt, path) = CheckpointManager::load_latest_with(&storage, &dir, &runtime.retry)?
+            .ok_or(CpdgError::NoCheckpoint { dir })?;
 
         let copied = store
             .load_matching(&ckpt.params)
@@ -565,6 +551,7 @@ pub fn pretrain_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::FS_STORAGE;
     use cpdg_dgnn::{DgnnConfig, EncoderKind};
     use cpdg_graph::{generate, SyntheticConfig};
     use rand::SeedableRng;

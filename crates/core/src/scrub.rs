@@ -90,7 +90,7 @@ pub fn is_sidecar_name(name: &str) -> bool {
 /// written first, so a crash mid-sequence leaves the primary
 /// authoritative and a stale replica for the next read or scrub cycle to
 /// heal.
-pub fn write_replicated(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> CpdgResult<()> {
+pub fn write_replicated(storage: &Storage, path: &Path, bytes: &[u8]) -> CpdgResult<()> {
     for i in 0..REPLICAS {
         let p = copy_path(path, i);
         storage
@@ -103,7 +103,7 @@ pub fn write_replicated(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> Cpd
 /// Copies the already-published primary `path` to its replicas. Best
 /// effort: the primary is durable, and a replica that fails to land costs
 /// redundancy until the next scrub cycle backfills it, never the write.
-pub fn publish_replicas(storage: &dyn Storage, path: &Path) {
+pub fn publish_replicas(storage: &Storage, path: &Path) {
     for i in 1..REPLICAS {
         let p = replica_path(path, i);
         if let Err(e) = storage
@@ -122,7 +122,7 @@ pub fn publish_replicas(storage: &dyn Storage, path: &Path) {
 
 /// Best-effort removal of every replica copy of `path`. The primary
 /// itself is untouched.
-pub fn remove_replicas(storage: &dyn Storage, path: &Path) {
+pub fn remove_replicas(storage: &Storage, path: &Path) {
     for i in 1..REPLICAS {
         let _ = storage.remove_file(&replica_path(path, i));
     }
@@ -178,7 +178,7 @@ pub struct Copies<T> {
 /// purpose (WAL truncation, candidate quarantine) before their replicas,
 /// so one that is gone is mid-removal and must stay gone.
 pub fn read_copies<T>(
-    storage: &dyn Storage,
+    storage: &Storage,
     path: &Path,
     hook: &FaultHook,
     check: impl Fn(&Path, &[u8]) -> CpdgResult<T>,
@@ -286,7 +286,7 @@ pub struct ReplicatedRead {
 /// * copies present but none sound → the first copy's typed corruption
 ///   error, which names the artifact path.
 pub fn read_sealed_replicated(
-    storage: &dyn Storage,
+    storage: &Storage,
     path: &Path,
     hook: &FaultHook,
 ) -> CpdgResult<ReplicatedRead> {
@@ -308,7 +308,7 @@ pub fn read_sealed_replicated(
 /// `<name>`, `<name>.1`, `<name>.2`, … and drags its replica along
 /// (suffixed the same way). Returns the quarantined
 /// primary's new path.
-pub fn quarantine_artifact(storage: &dyn Storage, path: &Path) -> CpdgResult<PathBuf> {
+pub fn quarantine_artifact(storage: &Storage, path: &Path) -> CpdgResult<PathBuf> {
     let parent = path.parent().unwrap_or_else(|| Path::new("."));
     let qdir = parent.join(QUARANTINE_DIR);
     storage
@@ -544,7 +544,7 @@ impl Scrubber {
     /// Runs one budgeted scrub cycle: verifies artifacts starting at the
     /// cursor until the byte budget is spent (or the whole catalog is
     /// covered), healing bad copies from good replicas along the way.
-    pub fn scrub_cycle(&mut self, storage: &dyn Storage, hook: &FaultHook) -> CycleReport {
+    pub fn scrub_cycle(&mut self, storage: &Storage, hook: &FaultHook) -> CycleReport {
         let catalog = self.catalog();
         let mut report = CycleReport::default();
         if catalog.is_empty() {
@@ -570,7 +570,7 @@ impl Scrubber {
 
     /// Scrubs the entire catalog once, ignoring the byte budget — the
     /// offline `cpdg scrub <dir>` path.
-    pub fn scrub_all(&mut self, storage: &dyn Storage, hook: &FaultHook) -> CycleReport {
+    pub fn scrub_all(&mut self, storage: &Storage, hook: &FaultHook) -> CycleReport {
         let saved = self.config.max_bytes_per_cycle;
         self.config.max_bytes_per_cycle = 0;
         self.cursor = 0;
@@ -581,7 +581,7 @@ impl Scrubber {
 
     fn scrub_one(
         &self,
-        storage: &dyn Storage,
+        storage: &Storage,
         hook: &FaultHook,
         entry: &CatalogEntry,
         report: &mut CycleReport,
@@ -605,7 +605,7 @@ impl Scrubber {
     /// the first good copy.
     fn scrub_sealed(
         &self,
-        storage: &dyn Storage,
+        storage: &Storage,
         hook: &FaultHook,
         entry: &CatalogEntry,
         report: &mut CycleReport,
@@ -637,7 +637,7 @@ impl Scrubber {
     /// instead of replaying garbage.
     fn scrub_segment(
         &self,
-        storage: &dyn Storage,
+        storage: &Storage,
         hook: &FaultHook,
         entry: &CatalogEntry,
         report: &mut CycleReport,

@@ -1,48 +1,95 @@
-//! Pluggable byte storage with crash-safe atomic writes.
+//! Byte storage with crash-safe atomic writes and fault injection.
 //!
-//! All model/checkpoint persistence goes through the [`Storage`] trait so
-//! that fault-injection tests (and drills) can simulate mid-write crashes,
-//! torn writes, and full disks without touching a real kernel. The
-//! production implementation, [`FsStorage`], writes through a temp file +
-//! `fsync` + atomic rename, so a crash at any instant leaves either the
-//! previous file version or the new one — never a truncated hybrid.
+//! All model/checkpoint persistence goes through one [`Storage`]: the
+//! filesystem plus a [`FaultHook`]. Every raw `write` consults the
+//! `storage.write` fault point and every `read` consults `storage.read`,
+//! so a chaos plan can fail, or tear (`persist`), any write that a crash
+//! or full disk could. [`FS_STORAGE`] holds the inert hook: with no plan
+//! installed each check is one `Option` test. [`Storage::write_atomic`]
+//! writes through a temp file + `fsync` + atomic rename + directory
+//! `fsync`, so a crash at any instant leaves either the previous file
+//! version or the new one — never a truncated hybrid.
 
+use crate::chaos::{Fault, FaultHook, FaultPoint};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-/// The production filesystem storage (shared, stateless).
-pub static FS_STORAGE: FsStorage = FsStorage;
+/// The production filesystem storage, with no fault plan installed.
+pub static FS_STORAGE: Storage = Storage::new(FaultHook::none());
 
-/// Byte-level persistence primitives.
-///
-/// `write` and `rename` are the raw fault-injection points;
-/// [`Storage::write_atomic`] composes them into the crash-safe publish
-/// protocol and is what all save paths use.
-pub trait Storage {
-    /// Writes `bytes` to `path` non-atomically (creating or truncating).
-    /// Implementations should flush to stable storage before returning.
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+/// The filesystem, with a [`FaultHook`] consulted before every raw read
+/// and write. Cloning is cheap and clones share the hook's trigger state.
+#[derive(Debug, Clone)]
+pub struct Storage {
+    hook: FaultHook,
+}
 
-    /// Atomically replaces `to` with `from`.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
+impl Storage {
+    /// Storage whose raw reads and writes consult `hook`.
+    pub const fn new(hook: FaultHook) -> Self {
+        Self { hook }
+    }
 
-    /// Reads the full contents of `path`.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// The hook this storage consults.
+    pub fn hook(&self) -> &FaultHook {
+        &self.hook
+    }
+
+    /// Writes `bytes` to `path` non-atomically (creating or truncating)
+    /// and flushes it to stable storage. A fired `storage.write` fault
+    /// fails the write; with `persist: n` it first writes the first `n`
+    /// bytes, as a process dying mid-write would.
+    pub fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        if let Err(fault) = self.hook.check(FaultPoint::StorageWrite) {
+            if let Some(n) = fault.persist {
+                write_synced(path, &bytes[..n.min(bytes.len())])?;
+            }
+            return Err(fault.into_io());
+        }
+        write_synced(path, bytes)
+    }
+
+    /// Atomically replaces `to` with `from`, then syncs `to`'s directory
+    /// so the new entry survives power loss.
+    pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)?;
+        sync_parent(to)
+    }
+
+    /// Reads the full contents of `path`, consulting `storage.read`.
+    pub fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.hook
+            .check(FaultPoint::StorageRead)
+            .map_err(Fault::into_io)?;
+        fs::read(path)
+    }
 
     /// Creates `path` and all missing parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
+    pub fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        fs::create_dir_all(path)
+    }
 
     /// Removes a file (errors if absent).
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
+    pub fn remove_file(&self, path: &Path) -> io::Result<()> {
+        fs::remove_file(path)
+    }
 
     /// Lists the files directly inside `dir`, sorted by file name.
-    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
+    pub fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        let mut out: Vec<PathBuf> = fs::read_dir(dir)?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .filter(|p| p.is_file())
+            .collect();
+        out.sort();
+        Ok(out)
+    }
 
     /// Crash-safe publish: write to a temp sibling, then atomically rename
     /// over `path`. On any failure the temp file is removed (best effort)
     /// and the previous contents of `path` remain intact.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    pub fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         let tmp = tmp_sibling(path);
         match self
             .write(&tmp, bytes)
@@ -57,6 +104,30 @@ pub trait Storage {
     }
 }
 
+/// Creates or truncates `path`, writes `bytes` and flushes the file
+/// contents to stable storage — before any rename over a destination,
+/// the ordering that makes the publish atomic under power loss.
+fn write_synced(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut f = File::create(path)?;
+    f.write_all(bytes)?;
+    f.sync_all()
+}
+
+/// Syncs the directory `dir` itself, so the entries created or renamed
+/// in it survive power loss.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Syncs the directory holding `path` (the working directory for a bare
+/// file name).
+pub fn sync_parent(path: &Path) -> io::Result<()> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => sync_dir(dir),
+        _ => sync_dir(Path::new(".")),
+    }
+}
+
 /// The temp-file name used by [`Storage::write_atomic`] for `path`.
 pub fn tmp_sibling(path: &Path) -> PathBuf {
     let name = path
@@ -66,192 +137,11 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
     path.with_file_name(format!(".{name}.tmp"))
 }
 
-/// Real filesystem storage with durable writes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FsStorage;
-
-impl Storage for FsStorage {
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = File::create(path)?;
-        f.write_all(bytes)?;
-        // Flush file contents to stable storage before the caller renames
-        // over the destination — the ordering that makes the publish atomic
-        // under power loss.
-        f.sync_all()
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        fs::rename(from, to)
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        fs::read(path)
-    }
-
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        fs::create_dir_all(path)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        fs::remove_file(path)
-    }
-
-    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        let mut out: Vec<PathBuf> = fs::read_dir(dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_file())
-            .collect();
-        out.sort();
-        Ok(out)
-    }
-}
-
-pub mod fault {
-    //! Fault-injecting storage implementations for crash-safety tests.
-
-    use super::{FsStorage, Storage};
-    use std::cell::Cell;
-    use std::io::{self, Error, ErrorKind};
-    use std::path::{Path, PathBuf};
-
-    /// Wraps [`FsStorage`] and simulates the process dying partway through
-    /// a raw `write`: once armed, the next write persists only the first
-    /// `n` bytes and then fails. Under the atomic publish protocol this
-    /// tears the *temp* file, so the destination must survive untouched.
-    #[derive(Debug, Default)]
-    pub struct CrashingStorage {
-        inner: FsStorage,
-        budget: Cell<Option<usize>>,
-        crashes: Cell<usize>,
-    }
-
-    impl CrashingStorage {
-        /// A storage that behaves normally until armed.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Arms the next `write` to persist only `bytes` bytes, then fail.
-        pub fn crash_after(&self, bytes: usize) {
-            self.budget.set(Some(bytes));
-        }
-
-        /// How many simulated crashes have fired.
-        pub fn crashes(&self) -> usize {
-            self.crashes.get()
-        }
-    }
-
-    impl Storage for CrashingStorage {
-        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            match self.budget.take() {
-                Some(n) => {
-                    self.crashes.set(self.crashes.get() + 1);
-                    let cut = n.min(bytes.len());
-                    // Persist the torn prefix exactly as a dying process
-                    // would, then report the crash.
-                    self.inner.write(path, &bytes[..cut])?;
-                    Err(simulated_crash())
-                }
-                None => self.inner.write(path, bytes),
-            }
-        }
-
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            self.inner.rename(from, to)
-        }
-
-        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            self.inner.read(path)
-        }
-
-        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-            self.inner.create_dir_all(path)
-        }
-
-        fn remove_file(&self, path: &Path) -> io::Result<()> {
-            self.inner.remove_file(path)
-        }
-
-        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-            self.inner.list(dir)
-        }
-    }
-
-    /// Simulates the *legacy* non-atomic writer dying mid-write: bytes are
-    /// truncated and land directly on the destination path, bypassing the
-    /// temp-file protocol. Used to prove the loader rejects such residue
-    /// with a typed error instead of parsing garbage.
-    #[derive(Debug, Default)]
-    pub struct TornWriteStorage {
-        inner: FsStorage,
-        budget: Cell<Option<usize>>,
-    }
-
-    impl TornWriteStorage {
-        /// A storage that behaves normally until armed.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Arms the next atomic write to instead tear the destination file
-        /// at `bytes` bytes.
-        pub fn tear_after(&self, bytes: usize) {
-            self.budget.set(Some(bytes));
-        }
-    }
-
-    impl Storage for TornWriteStorage {
-        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            self.inner.write(path, bytes)
-        }
-
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            self.inner.rename(from, to)
-        }
-
-        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            self.inner.read(path)
-        }
-
-        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-            self.inner.create_dir_all(path)
-        }
-
-        fn remove_file(&self, path: &Path) -> io::Result<()> {
-            self.inner.remove_file(path)
-        }
-
-        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-            self.inner.list(dir)
-        }
-
-        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-            match self.budget.take() {
-                Some(n) => {
-                    let cut = n.min(bytes.len());
-                    self.inner.write(path, &bytes[..cut])?;
-                    Err(simulated_crash())
-                }
-                None => {
-                    let tmp = super::tmp_sibling(path);
-                    self.inner.write(&tmp, bytes)?;
-                    self.inner.rename(&tmp, path)
-                }
-            }
-        }
-    }
-
-    fn simulated_crash() -> io::Error {
-        Error::new(ErrorKind::Interrupted, "simulated mid-write crash")
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::fault::{CrashingStorage, TornWriteStorage};
     use super::*;
+    use crate::chaos::FaultKind::Transient;
+    use crate::chaos::{FaultPlan, Trigger};
 
     fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cpdg_storage_{name}_{}", std::process::id()));
@@ -275,27 +165,22 @@ mod tests {
     fn crash_during_atomic_write_preserves_previous_version() {
         let dir = test_dir("crash");
         let path = dir.join("m.json");
-        let storage = CrashingStorage::new();
+        // The second write persists 3 bytes of its temp file, then fails.
+        let plan = FaultPlan::new(0).with_torn_write(Transient, Trigger::Nth { n: 2 }, 3);
+        let storage = Storage::new(FaultHook::install(&plan));
         storage.write_atomic(&path, b"version-one").unwrap();
-        storage.crash_after(3);
         let err = storage.write_atomic(&path, b"version-two").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(storage.crashes(), 1);
+        assert_eq!(storage.hook().injected_at(FaultPoint::StorageWrite), 1);
         // Destination untouched; no temp residue left behind.
         assert_eq!(storage.read(&path).unwrap(), b"version-one");
         assert!(!tmp_sibling(&path).exists(), "temp file must be cleaned up");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn torn_write_leaves_truncated_destination() {
-        let dir = test_dir("torn");
-        let path = dir.join("m.json");
-        let storage = TornWriteStorage::new();
-        storage.write_atomic(&path, b"full contents").unwrap();
-        storage.tear_after(4);
-        storage.write_atomic(&path, b"replacement!!").unwrap_err();
-        assert_eq!(storage.read(&path).unwrap(), b"repl");
+        // The same spec on a raw write leaves exactly the torn prefix.
+        let raw = dir.join("raw.bin");
+        let torn = Storage::new(FaultHook::install(&plan));
+        torn.write(&raw, b"version-one").unwrap();
+        torn.write(&raw, b"version-two").unwrap_err();
+        assert_eq!(fs::read(&raw).unwrap(), b"ver");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -64,7 +64,7 @@
 use crate::chaos::{Fault, FaultHook, FaultPoint, RetryPolicy};
 use crate::error::{CpdgError, CpdgResult};
 use crate::integrity::crc32;
-use crate::storage::Storage;
+use crate::storage::{sync_dir, sync_parent, Storage};
 use cpdg_dgnn::EncoderState;
 use cpdg_graph::{DynamicGraph, FieldId, NodeId, Timestamp};
 use std::fs::{File, OpenOptions};
@@ -236,12 +236,6 @@ fn segment_path(dir: &Path, start: u64) -> PathBuf {
     dir.join(format!("wal-{start:016x}.seg"))
 }
 
-/// Syncs the directory `dir` itself, so the entries of segments created
-/// in it survive power loss.
-fn sync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
 fn segment_header(start: u64) -> [u8; SEGMENT_HEADER_LEN as usize] {
     let mut h = [0u8; SEGMENT_HEADER_LEN as usize];
     h[..8].copy_from_slice(&SEGMENT_MAGIC);
@@ -367,7 +361,13 @@ impl Wal {
     /// [`CpdgError::WalGap`]. The recovery stats report what was found;
     /// [`Wal::replay`] streams the surviving records.
     pub fn open(dir: &Path, config: WalConfig, hook: FaultHook) -> CpdgResult<Wal> {
-        std::fs::create_dir_all(dir).map_err(|e| CpdgError::io(dir, e))?;
+        if !dir.is_dir() {
+            std::fs::create_dir_all(dir).map_err(|e| CpdgError::io(dir, e))?;
+            // The new directory's own entry must survive power loss too.
+            if config.fsync != FsyncPolicy::Os {
+                sync_parent(dir).map_err(|e| CpdgError::io(dir, e))?;
+            }
+        }
         let mut starts: Vec<u64> = std::fs::read_dir(dir)
             .map_err(|e| CpdgError::io(dir, e))?
             .filter_map(|entry| {
@@ -887,7 +887,7 @@ impl WalCheckpoint {
     /// Encodes, CRC-seals, and atomically publishes the checkpoint as
     /// every copy (`<path>`, `<path>.r1`), so a single rotted copy is
     /// healed by [`WalCheckpoint::load`] or the scrubber.
-    pub fn save(&self, storage: &dyn Storage, path: &Path) -> CpdgResult<()> {
+    pub fn save(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
         let sealed = crate::integrity::seal(&crate::codec::encode_artifact(self));
         crate::scrub::write_replicated(storage, path, &sealed)?;
         cpdg_obs::info!(
@@ -906,7 +906,7 @@ impl WalCheckpoint {
     /// corruption error (naming the checkpoint path) when copies exist but
     /// none verifies.
     pub fn load(
-        storage: &dyn Storage,
+        storage: &Storage,
         path: &Path,
         hook: &FaultHook,
     ) -> CpdgResult<Option<WalCheckpoint>> {

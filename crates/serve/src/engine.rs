@@ -716,7 +716,7 @@ impl Engine {
     /// bit-identically), then drop the sealed segments the checkpoint
     /// covers. Returns the bytes freed, or `None` when no WAL is
     /// attached.
-    pub fn checkpoint_wal(&self, storage: &dyn Storage) -> CpdgResult<Option<u64>> {
+    pub fn checkpoint_wal(&self, storage: &Storage) -> CpdgResult<Option<u64>> {
         let mut inner = self.inner.lock().expect("engine lock");
         let inner = &mut *inner;
         let Some(w) = inner.wal.as_mut() else {
@@ -1081,7 +1081,7 @@ impl Engine {
     /// write the CRC-sealed encoder state to `path`. Byte-deterministic for
     /// a given ingested event sequence, which is what the end-to-end smoke
     /// test `cmp`s against an in-process run.
-    pub fn persist_memory(&self, storage: &dyn Storage, path: &Path) -> CpdgResult<()> {
+    pub fn persist_memory(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
         self.flush();
         let state = self.export_state();
         let payload = cpdg_core::codec::encode_artifact(&state);
@@ -1092,7 +1092,7 @@ impl Engine {
 
     /// Loads encoder state persisted by [`Engine::persist_memory`]; a file
     /// without its integrity footer is refused (exit 4).
-    pub fn restore_memory_file(&self, storage: &dyn Storage, path: &Path) -> CpdgResult<()> {
+    pub fn restore_memory_file(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
         let bytes = storage.read(path).map_err(|e| CpdgError::io(path, e))?;
         let payload = cpdg_core::integrity::unseal(&bytes, path)?;
         let state: EncoderState = cpdg_core::codec::decode_artifact(payload, path)?;

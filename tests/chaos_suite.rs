@@ -6,8 +6,8 @@
 //! the final parameters or metrics. Three distinct plans are covered:
 //!
 //! 1. transient storage / sampler / memory faults cleared by retry;
-//! 2. a permanent `ckpt.save` fault that crashes pre-training mid-run,
-//!    followed by a plan-free resume;
+//! 2. a permanent `ckpt.save` fault, or a torn checkpoint write, that
+//!    crashes pre-training mid-run, followed by a plan-free resume;
 //! 3. malformed rows spliced into ingestion (`loader.row`) and quarantined
 //!    by the lenient loader.
 
@@ -15,7 +15,7 @@ mod support;
 
 use cpdg::core::chaos::FaultKind::{Permanent, Transient};
 use cpdg::core::chaos::{load_jodie_chaos, FaultHook, FaultPlan, FaultPoint, RetryPolicy, Trigger};
-use cpdg::core::checkpoint::CheckpointConfig;
+use cpdg::core::checkpoint::{CheckpointConfig, CheckpointManager};
 use cpdg::core::error::CpdgError;
 use cpdg::core::pretrain::PretrainRuntime;
 use cpdg::core::storage::FS_STORAGE;
@@ -89,48 +89,76 @@ fn permanent_ckpt_save_fault_crashes_then_resumes_bit_identically() {
     let ds = tiny_dataset(11);
     let (ref_params, ref_losses) = reference_run(&ds.graph, 11);
 
-    // Plan 2: the second checkpoint publish dies permanently — retry must
+    // Plan 2, in two shapes: the second checkpoint publish dies
+    // permanently, either as a whole (`ckpt.save`) or torn partway through
+    // its data file's write (`storage.write` hit 3 — each publish writes
+    // the file, then the `latest` pointer — landing 16 bytes). Retry must
     // give up immediately (permanent faults are not transient) and the run
     // must surface a typed I/O error mid-stream.
-    let plan = FaultPlan::new(7).with(FaultPoint::CkptSave, Permanent, Trigger::Nth { n: 2 });
-    let hook = FaultHook::install(&plan);
+    let plans = [
+        (
+            "ckpt_crash",
+            FaultPoint::CkptSave,
+            FaultPlan::new(7).with(FaultPoint::CkptSave, Permanent, Trigger::Nth { n: 2 }),
+        ),
+        (
+            "ckpt_torn",
+            FaultPoint::StorageWrite,
+            FaultPlan::new(7).with_torn_write(Permanent, Trigger::Nth { n: 3 }, 16),
+        ),
+    ];
+    for (name, point, plan) in plans {
+        let hook = FaultHook::install(&plan);
+        let dir = test_dir(name);
+        let ckpt = CheckpointConfig {
+            dir: dir.to_path_buf(),
+            every_n_steps: 3,
+            keep: 3,
+        };
+        let runtime = PretrainRuntime {
+            checkpoint: Some(ckpt.clone()),
+            chaos: hook.clone(),
+            ..PretrainRuntime::default()
+        };
+        let err = pretrain_run(&ds.graph, 11, &runtime)
+            .1
+            .expect_err("permanent fault in the second publish must abort the run");
+        assert!(matches!(err, CpdgError::Io { .. }), "{name}: {err}");
+        assert_eq!(hook.injected_at(point), 1, "{name}");
 
-    let dir = test_dir("ckpt_crash");
-    let ckpt = CheckpointConfig {
-        dir: dir.to_path_buf(),
-        every_n_steps: 3,
-        keep: 3,
-    };
-    let runtime = PretrainRuntime {
-        checkpoint: Some(ckpt.clone()),
-        chaos: hook.clone(),
-        ..PretrainRuntime::default()
-    };
-    let err = pretrain_run(&ds.graph, 11, &runtime)
-        .1
-        .expect_err("permanent ckpt.save fault must abort the run");
-    assert!(matches!(err, CpdgError::Io { .. }), "{err}");
-    assert_eq!(hook.injected_at(FaultPoint::CkptSave), 1);
+        // The crash left only whole files (no temp residue, no second
+        // checkpoint), and the first checkpoint is the newest that loads.
+        let mut files: Vec<_> = std::fs::read_dir(&*dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["ckpt-00000003.json", "latest"], "{name}");
+        let (first, _) = CheckpointManager::load_latest(&FS_STORAGE, &dir)
+            .unwrap()
+            .expect("the first checkpoint survives");
+        assert_eq!(first.step, 3, "{name}");
 
-    // The first checkpoint survived the crash; resuming without any plan
-    // replays the remaining steps to the exact fault-free endpoint.
-    let runtime = PretrainRuntime {
-        checkpoint: Some(ckpt),
-        resume: true,
-        ..PretrainRuntime::default()
-    };
-    let (store, resumed) = pretrain_run(&ds.graph, 11, &runtime);
-    let resumed = resumed.expect("resume after the injected crash");
-    assert_eq!(
-        loss_bits(&resumed),
-        ref_losses,
-        "epoch losses diverged across crash+resume"
-    );
-    assert_eq!(
-        cpdg::core::codec::to_bytes(&store),
-        ref_params,
-        "resumed parameters must be bit-identical to the uninterrupted run"
-    );
+        // Resuming without any plan replays the remaining steps to the
+        // exact fault-free endpoint.
+        let runtime = PretrainRuntime {
+            checkpoint: Some(ckpt),
+            resume: true,
+            ..PretrainRuntime::default()
+        };
+        let (store, resumed) = pretrain_run(&ds.graph, 11, &runtime);
+        let resumed = resumed.expect("resume after the injected crash");
+        assert_eq!(
+            loss_bits(&resumed),
+            ref_losses,
+            "{name}: epoch losses diverged across crash+resume"
+        );
+        assert_eq!(
+            cpdg::core::codec::to_bytes(&store),
+            ref_params,
+            "{name}: resumed parameters must be bit-identical to the uninterrupted run"
+        );
+    }
 }
 
 #[test]
@@ -147,7 +175,6 @@ fn quarantined_malformed_rows_leave_downstream_metrics_untouched() {
 
     // Fault-free parse of the same bytes.
     let clean = load_jodie_chaos(
-        &FS_STORAGE,
         &path,
         &LoadOptions::lenient(),
         &RetryPolicy::default(),
@@ -162,7 +189,6 @@ fn quarantined_malformed_rows_leave_downstream_metrics_untouched() {
     let plan = FaultPlan::new(3).with(FaultPoint::LoaderRow, Permanent, Trigger::Every { k: 40 });
     let hook = FaultHook::install(&plan);
     let dirty = load_jodie_chaos(
-        &FS_STORAGE,
         &path,
         &LoadOptions::lenient(),
         &RetryPolicy::default(),
@@ -193,7 +219,6 @@ fn quarantined_malformed_rows_leave_downstream_metrics_untouched() {
     // Strict mode refuses the same injected stream with a parse error.
     let strict_hook = FaultHook::install(&plan);
     let err = load_jodie_chaos(
-        &FS_STORAGE,
         &path,
         &LoadOptions::strict(),
         &RetryPolicy::default(),

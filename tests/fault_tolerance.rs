@@ -4,11 +4,11 @@
 
 mod support;
 
+use cpdg::core::chaos::{FaultHook, FaultKind, FaultPlan, FaultPoint, Trigger};
 use cpdg::core::checkpoint::{CheckpointConfig, CheckpointManager};
 use cpdg::core::error::CpdgError;
 use cpdg::core::model_io::ModelFile;
 use cpdg::core::pretrain::{pretrain_resumable, PretrainConfig, PretrainRuntime};
-use cpdg::core::storage::fault::CrashingStorage;
 use cpdg::core::storage::{Storage, FS_STORAGE};
 use cpdg::dgnn::{DgnnConfig, EncoderKind, GuardConfig};
 use cpdg::graph::SyntheticDataset;
@@ -211,7 +211,11 @@ fn resume_refuses_a_resealed_checkpoint_with_a_swapped_parameter_shape() {
 fn crashed_model_save_preserves_previous_version() {
     let dir = test_dir("model_crash");
     let path = dir.join("model.json");
-    let storage = CrashingStorage::new();
+    // The plan tears the second write: its temp file gets 16 bytes, then
+    // the process "dies".
+    let plan = FaultPlan::new(0).with_torn_write(FaultKind::Transient, Trigger::Nth { n: 2 }, 16);
+    let hook = FaultHook::install(&plan);
+    let storage = Storage::new(hook.clone());
 
     let mut params = ParamStore::new();
     params.register("w", cpdg::tensor::Matrix::full(1, 2, 1.0));
@@ -231,13 +235,12 @@ fn crashed_model_save_preserves_previous_version() {
         params,
         vec![],
     );
-    storage.crash_after(16);
     v2.save_with(&storage, &path)
         .expect_err("armed save must crash");
-    assert_eq!(storage.crashes(), 1);
+    assert_eq!(hook.injected_at(FaultPoint::StorageWrite), 1);
 
     // The bundle on disk is still the complete first version.
-    let back = ModelFile::load_with(&storage, &path).expect("previous version intact");
+    let back = ModelFile::load(&path).expect("previous version intact");
     let id = back.params.lookup("w").unwrap();
     assert_eq!(back.params.value(id).get(0, 0), 1.0);
 }
