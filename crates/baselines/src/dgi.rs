@@ -48,6 +48,7 @@ pub fn pretrain_dgi(
         "pretrain_dgi: need at least two active nodes"
     );
     let mut last = 0.0;
+    let mut tape = Tape::new();
     for _ in 0..cfg.steps {
         let batch: Vec<NodeId> = (0..cfg.batch_size)
             .map(|_| active_nodes[rng.random_range(0..active_nodes.len())])
@@ -57,7 +58,7 @@ pub fn pretrain_dgi(
             .map(|_| active_nodes[rng.random_range(0..active_nodes.len())])
             .collect();
 
-        let mut tape = Tape::new();
+        tape.reset();
         let h = gnn.embed_many(&mut tape, store, sg, &batch, rng);
         let h_corrupt = gnn.embed_many(&mut tape, store, sg, &corrupt, rng);
 
@@ -77,7 +78,7 @@ pub fn pretrain_dgi(
 
         let loss = cpdg_tensor::loss::link_prediction_loss(&mut tape, pos, neg);
         last = tape.value(loss).get(0, 0);
-        if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+        if let Ok(Some(update)) = train_step(&mut tape, loss, cfg.grad_clip, None) {
             update.apply(opt, store);
         }
     }

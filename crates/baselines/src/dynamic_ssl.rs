@@ -85,12 +85,13 @@ pub fn pretrain_ddgcl(
     let time_scale = encoder.config().time_scale;
     let active: Vec<NodeId> = graph.active_nodes();
     let mut out = Vec::with_capacity(cfg.epochs);
+    let mut tape = Tape::new();
     for _ in 0..cfg.epochs {
         encoder.reset_state();
         let mut total = 0.0f64;
         let mut batches = 0usize;
         for chunk in graph.events().chunks(cfg.batch_size.max(1)) {
-            let mut tape = Tape::new();
+            tape.reset();
             let ctx = encoder.apply_pending(&mut tape, store, graph);
             let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
             let times: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
@@ -128,7 +129,7 @@ pub fn pretrain_ddgcl(
             let loss = cpdg_tensor::loss::link_prediction_loss(&mut tape, pos, neg);
             total += f64::from(tape.value(loss).get(0, 0));
             batches += 1;
-            if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+            if let Ok(Some(update)) = train_step(&mut tape, loss, cfg.grad_clip, None) {
                 update.apply(opt, store);
             }
             encoder.commit(&tape, ctx, chunk);
@@ -163,12 +164,13 @@ pub fn pretrain_selfrgnn(
 ) -> Vec<f32> {
     let time_scale = encoder.config().time_scale;
     let mut out = Vec::with_capacity(cfg.epochs);
+    let mut tape = Tape::new();
     for _ in 0..cfg.epochs {
         encoder.reset_state();
         let mut total = 0.0f64;
         let mut batches = 0usize;
         for chunk in graph.events().chunks(cfg.batch_size.max(1)) {
-            let mut tape = Tape::new();
+            tape.reset();
             let ctx = encoder.apply_pending(&mut tape, store, graph);
             let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
             let times: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
@@ -191,7 +193,7 @@ pub fn pretrain_selfrgnn(
             let loss = tape.mean_all(weighted);
             total += f64::from(tape.value(loss).get(0, 0));
             batches += 1;
-            if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+            if let Ok(Some(update)) = train_step(&mut tape, loss, cfg.grad_clip, None) {
                 update.apply(opt, store);
             }
             encoder.commit(&tape, ctx, chunk);

@@ -27,9 +27,10 @@ pub fn pretrain_gptgnn(
 ) -> f32 {
     let pool = dst_pool(graph);
     let mut last = 0.0;
+    let mut tape = Tape::new();
     for _ in 0..cfg.steps {
         let (srcs, dsts, negs) = sample_edge_batch(graph.events(), &pool, cfg.batch_size, rng);
-        let mut tape = Tape::new();
+        tape.reset();
         let z_src = gnn.embed_many(&mut tape, store, sg, &srcs, rng);
         let z_dst = gnn.embed_many(&mut tape, store, sg, &dsts, rng);
         let z_neg = gnn.embed_many(&mut tape, store, sg, &negs, rng);
@@ -38,7 +39,7 @@ pub fn pretrain_gptgnn(
         let neg = rows_dot(&mut tape, z_src, z_neg);
         let loss = cpdg_tensor::loss::link_prediction_loss(&mut tape, pos, neg);
         last = tape.value(loss).get(0, 0);
-        if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+        if let Ok(Some(update)) = train_step(&mut tape, loss, cfg.grad_clip, None) {
             update.apply(opt, store);
         }
     }

@@ -418,7 +418,8 @@ mod tests {
             let mut tape = Tape::new();
             let z = gnn.embed_many(&mut tape, &store, &sg, &nodes, &mut batch_rng);
             let z_sum = tape.sum_all(z);
-            let batched = tape.param_grads(&tape.backward(z_sum));
+            let grads = tape.backward(z_sum);
+            let batched = tape.param_grads(&grads);
             let mut ref_tape = Tape::new();
             let mut rows = Vec::new();
             for (i, &n) in nodes.iter().enumerate() {
@@ -439,7 +440,8 @@ mod tests {
             // rounding only.
             let stacked = ref_tape.stack_rows(&rows);
             let ref_sum = ref_tape.sum_all(stacked);
-            let reference = ref_tape.param_grads(&ref_tape.backward(ref_sum));
+            let grads = ref_tape.backward(ref_sum);
+            let reference = ref_tape.param_grads(&grads);
             assert_eq!(batched.len(), reference.len(), "{kind:?}: same parameters");
             for ((id, g), (ref_id, r)) in batched.iter().zip(&reference) {
                 assert_eq!(id, ref_id, "{kind:?}");

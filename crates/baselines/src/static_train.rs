@@ -98,9 +98,10 @@ pub fn train_static_link_prediction(
         "train_static_link_prediction: empty input"
     );
     let mut last = 0.0;
+    let mut tape = Tape::new();
     for _ in 0..cfg.steps {
         let (srcs, dsts, negs) = sample_edge_batch(events, pool, cfg.batch_size, rng);
-        let mut tape = Tape::new();
+        tape.reset();
         let z_src = gnn.embed_many(&mut tape, store, sg, &srcs, rng);
         let z_dst = gnn.embed_many(&mut tape, store, sg, &dsts, rng);
         let z_neg = gnn.embed_many(&mut tape, store, sg, &negs, rng);
@@ -108,7 +109,7 @@ pub fn train_static_link_prediction(
         let neg = head.score(&mut tape, store, z_src, z_neg);
         let loss = link_prediction_loss(&mut tape, pos, neg);
         last = tape.value(loss).get(0, 0);
-        if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+        if let Ok(Some(update)) = train_step(&mut tape, loss, cfg.grad_clip, None) {
             update.apply(opt, store);
         }
     }

@@ -1065,9 +1065,9 @@ fn cmd_scrub(args: &Args) -> CpdgResult<()> {
         }
         roots.push(p);
     }
-    let hook = chaos_hook(args)?;
+    let storage = cpdg_core::Storage::new(chaos_hook(args)?);
     let mut scrubber = cpdg_core::Scrubber::new(roots, cpdg_core::ScrubConfig::default());
-    let report = scrubber.scrub_all(&FS_STORAGE, &hook);
+    let report = scrubber.scrub_all(&storage);
     println!(
         "scrub: scanned={} bytes={} corrupt={} repaired={} read_errors={} unrepairable={}",
         report.scanned,

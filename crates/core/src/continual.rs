@@ -420,6 +420,7 @@ impl ContinualTrainer {
         let mut steps = 0usize;
         let mut skipped = 0usize;
         let mut total = 0.0f64;
+        let mut tape = Tape::new();
         for k in 1..trained {
             hook.check(FaultPoint::TrainerStep)
                 .map_err(|f| CpdgError::Fault {
@@ -438,7 +439,7 @@ impl ContinualTrainer {
                 skipped += 1;
                 continue;
             }
-            let mut tape = Tape::new();
+            tape.reset();
             let ctx = self.encoder.apply_pending(&mut tape, &self.store, graph);
             let times_a: Vec<Timestamp> = shared.iter().map(|_| wa.end).collect();
             let times_b: Vec<Timestamp> = shared.iter().map(|_| wb.end).collect();
@@ -455,7 +456,7 @@ impl ContinualTrainer {
             let z_neg = tape.gather_rows(z_b, &rot);
             let loss = triplet_margin(&mut tape, z_a, z_b, z_neg, self.cfg.margin);
             let guard = Some((&mut self.guard, self.step));
-            match train_step(&tape, loss, self.cfg.grad_clip, guard) {
+            match train_step(&mut tape, loss, self.cfg.grad_clip, guard) {
                 Ok(Some(update)) => {
                     total += f64::from(tape.value(loss).get(0, 0));
                     steps += 1;
@@ -489,13 +490,10 @@ impl ContinualTrainer {
     /// `path` — an ordinary [`ModelFile`] written through the CRC-sealed
     /// atomic save, so the file either exists whole or not at all. A
     /// fired `trainer.emit` fault aborts before any bytes are written.
-    pub fn emit_candidate(
-        &self,
-        storage: &Storage,
-        path: &Path,
-        hook: &FaultHook,
-    ) -> CpdgResult<()> {
-        hook.check(FaultPoint::TrainerEmit)
+    pub fn emit_candidate(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
+        storage
+            .hook()
+            .check(FaultPoint::TrainerEmit)
             .map_err(|f| CpdgError::Fault {
                 point: FaultPoint::TrainerEmit.name().to_string(),
                 reason: f.to_string(),
@@ -811,7 +809,9 @@ mod tests {
 
         let dir = test_dir("gate");
         let path = dir.join("candidate-000001.json");
-        trainer.emit_candidate(&FS_STORAGE, &path, &hook).unwrap();
+        trainer
+            .emit_candidate(&Storage::new(hook.clone()), &path)
+            .unwrap();
         let candidate = ModelFile::load(&path).unwrap();
         assert!(params_all_finite(&candidate));
         let gate = GateConfig::default();
@@ -905,7 +905,7 @@ mod tests {
         let dir = test_dir("emit-fault");
         let path = dir.join("candidate.json");
         let err = trainer
-            .emit_candidate(&FS_STORAGE, &path, &hook)
+            .emit_candidate(&Storage::new(hook.clone()), &path)
             .unwrap_err();
         match err {
             CpdgError::Fault { point, .. } => assert_eq!(point, "trainer.emit"),
@@ -913,9 +913,7 @@ mod tests {
         }
         assert!(!path.exists(), "no bytes may hit disk on an emit fault");
         // Retry without the fault succeeds and round-trips.
-        trainer
-            .emit_candidate(&FS_STORAGE, &path, &FaultHook::none())
-            .unwrap();
+        trainer.emit_candidate(&FS_STORAGE, &path).unwrap();
         assert!(ModelFile::load(&path).is_ok());
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -181,13 +181,14 @@ pub fn finetune_link_prediction(
 
     let mut best_val = f64::NEG_INFINITY;
     let mut best_params: Option<ParamStore> = None;
+    let mut tape = Tape::new();
 
     for epoch in 0..cfg.epochs.max(1) {
         let _epoch_timer = cpdg_obs::span("finetune.epoch_us");
         encoder.reset_state();
         // --- train on [0, train_end) ---------------------------------
         for chunk in graph.events()[..train_end].chunks(cfg.batch_size.max(1)) {
-            let mut tape = Tape::new();
+            tape.reset();
             let ctx = encoder.apply_pending(&mut tape, store, graph);
             let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
             let dsts: Vec<NodeId> = chunk.iter().map(|e| e.dst).collect();
@@ -228,7 +229,7 @@ pub fn finetune_link_prediction(
             let neg = model.head.score(&mut tape, store, z_src, z_neg);
             let loss = link_prediction_loss(&mut tape, pos, neg);
 
-            if let Ok(Some(update)) = train_step(&tape, loss, cfg.grad_clip, None) {
+            if let Ok(Some(update)) = train_step(&mut tape, loss, cfg.grad_clip, None) {
                 update.apply(&mut opt, store);
             }
             encoder.commit(&tape, ctx, chunk);
@@ -498,12 +499,13 @@ pub fn finetune_node_classification(
     );
     let mut best_val = f64::NEG_INFINITY;
     let mut best_clf = clf_store.clone();
+    let mut tape = Tape::new();
     for _ in 0..60 {
-        let mut tape = Tape::new();
+        tape.reset();
         let x = tape.constant(train_x.clone());
         let logits = clf.score(&mut tape, &clf_store, x);
         let loss = tape.bce_with_logits(logits, train_y.clone());
-        if let Ok(Some(update)) = train_step(&tape, loss, f32::INFINITY, None) {
+        if let Ok(Some(update)) = train_step(&mut tape, loss, f32::INFINITY, None) {
             update.apply(&mut opt, &mut clf_store);
         }
 

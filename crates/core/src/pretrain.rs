@@ -314,6 +314,7 @@ pub fn pretrain_resumable(
     }
 
     let mut steps_this_run = 0usize;
+    let mut tape = Tape::new();
 
     for epoch in start_epoch..cfg.epochs {
         let continuing = resumed && epoch == start_epoch;
@@ -373,7 +374,7 @@ pub fn pretrain_resumable(
             consult(FaultPoint::SamplerBatch)?;
             let mut rng = batch_rng(cfg.seed, step);
 
-            let mut tape = Tape::new();
+            tape.reset();
             let ctx = encoder.apply_pending(&mut tape, store, graph);
 
             let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
@@ -441,7 +442,7 @@ pub fn pretrain_resumable(
 
             let total = cfg.objective.combine(&mut tape, tlp, tc_loss, sc_loss);
 
-            match train_step(&tape, total, cfg.grad_clip, Some((&mut guard, step))) {
+            match train_step(&mut tape, total, cfg.grad_clip, Some((&mut guard, step))) {
                 Ok(Some(update)) => {
                     consult(FaultPoint::MemoryUpdate)?;
                     update.apply(opt, store);

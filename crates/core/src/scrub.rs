@@ -180,9 +180,9 @@ pub struct Copies<T> {
 pub fn read_copies<T>(
     storage: &Storage,
     path: &Path,
-    hook: &FaultHook,
     check: impl Fn(&Path, &[u8]) -> CpdgResult<T>,
 ) -> Copies<T> {
+    let hook = storage.hook();
     let mut out = Copies {
         sound: None,
         corrupt: 0,
@@ -285,12 +285,8 @@ pub struct ReplicatedRead {
 ///   callers with a "no artifact yet" path can keep mapping it to `None`;
 /// * copies present but none sound → the first copy's typed corruption
 ///   error, which names the artifact path.
-pub fn read_sealed_replicated(
-    storage: &Storage,
-    path: &Path,
-    hook: &FaultHook,
-) -> CpdgResult<ReplicatedRead> {
-    let copies = read_copies(storage, path, hook, |p, bytes| {
+pub fn read_sealed_replicated(storage: &Storage, path: &Path) -> CpdgResult<ReplicatedRead> {
+    let copies = read_copies(storage, path, |p, bytes| {
         integrity::unseal(bytes, p).map(<[u8]>::len)
     });
     let Some((mut payload, len)) = copies.sound else {
@@ -544,7 +540,7 @@ impl Scrubber {
     /// Runs one budgeted scrub cycle: verifies artifacts starting at the
     /// cursor until the byte budget is spent (or the whole catalog is
     /// covered), healing bad copies from good replicas along the way.
-    pub fn scrub_cycle(&mut self, storage: &Storage, hook: &FaultHook) -> CycleReport {
+    pub fn scrub_cycle(&mut self, storage: &Storage) -> CycleReport {
         let catalog = self.catalog();
         let mut report = CycleReport::default();
         if catalog.is_empty() {
@@ -556,7 +552,7 @@ impl Scrubber {
         self.cursor %= n;
         for step in 0..n {
             let entry = &catalog[(self.cursor + step) % n];
-            self.scrub_one(storage, hook, entry, &mut report);
+            self.scrub_one(storage, entry, &mut report);
             if budget > 0 && report.bytes >= budget {
                 self.cursor = (self.cursor + step + 1) % n;
                 cpdg_obs::counter!("scrub.cycles").inc();
@@ -570,47 +566,35 @@ impl Scrubber {
 
     /// Scrubs the entire catalog once, ignoring the byte budget — the
     /// offline `cpdg scrub <dir>` path.
-    pub fn scrub_all(&mut self, storage: &Storage, hook: &FaultHook) -> CycleReport {
+    pub fn scrub_all(&mut self, storage: &Storage) -> CycleReport {
         let saved = self.config.max_bytes_per_cycle;
         self.config.max_bytes_per_cycle = 0;
         self.cursor = 0;
-        let report = self.scrub_cycle(storage, hook);
+        let report = self.scrub_cycle(storage);
         self.config.max_bytes_per_cycle = saved;
         report
     }
 
-    fn scrub_one(
-        &self,
-        storage: &Storage,
-        hook: &FaultHook,
-        entry: &CatalogEntry,
-        report: &mut CycleReport,
-    ) {
+    fn scrub_one(&self, storage: &Storage, entry: &CatalogEntry, report: &mut CycleReport) {
         if entry.class == ArtifactClass::Quarantined || entry.active_tail {
             // Known-bad or actively-written files are counted, not read.
             report.scanned += 1;
             return;
         }
-        if hook.check(FaultPoint::ScrubRead).is_err() {
+        if storage.hook().check(FaultPoint::ScrubRead).is_err() {
             report.read_errors += 1;
             return;
         }
         match entry.class {
-            ArtifactClass::WalSegment => self.scrub_segment(storage, hook, entry, report),
-            _ => self.scrub_sealed(storage, hook, entry, report),
+            ArtifactClass::WalSegment => self.scrub_segment(storage, entry, report),
+            _ => self.scrub_sealed(storage, entry, report),
         }
     }
 
     /// Verifies a footer-sealed artifact and its replicas, repairing from
     /// the first good copy.
-    fn scrub_sealed(
-        &self,
-        storage: &Storage,
-        hook: &FaultHook,
-        entry: &CatalogEntry,
-        report: &mut CycleReport,
-    ) {
-        match read_sealed_replicated(storage, &entry.path, hook) {
+    fn scrub_sealed(&self, storage: &Storage, entry: &CatalogEntry, report: &mut CycleReport) {
+        match read_sealed_replicated(storage, &entry.path) {
             Ok(read) => {
                 report.scanned += 1;
                 report.bytes += read.payload.len() as u64;
@@ -635,14 +619,8 @@ impl Scrubber {
     /// repairing the bad copies from a sound one; with no sound copy the
     /// segment is quarantined so recovery refuses with a typed `WalGap`
     /// instead of replaying garbage.
-    fn scrub_segment(
-        &self,
-        storage: &Storage,
-        hook: &FaultHook,
-        entry: &CatalogEntry,
-        report: &mut CycleReport,
-    ) {
-        let copies = read_copies(storage, &entry.path, hook, |p, bytes| {
+    fn scrub_segment(&self, storage: &Storage, entry: &CatalogEntry, report: &mut CycleReport) {
+        let copies = read_copies(storage, &entry.path, |p, bytes| {
             if crate::wal::segment_is_sound(bytes) {
                 Ok(())
             } else {
@@ -737,7 +715,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[2] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let read = read_sealed_replicated(&FS_STORAGE, &path, &FaultHook::none()).unwrap();
+        let read = read_sealed_replicated(&FS_STORAGE, &path).unwrap();
         assert_eq!(read.payload, br#"{"v":1}"#);
         assert_eq!(read.corrupt_copies, 1);
         assert_eq!(read.repaired, 1);
@@ -759,7 +737,7 @@ mod tests {
             bytes[1] ^= 0xFF;
             std::fs::write(&p, &bytes).unwrap();
         }
-        let err = read_sealed_replicated(&FS_STORAGE, &path, &FaultHook::none()).unwrap_err();
+        let err = read_sealed_replicated(&FS_STORAGE, &path).unwrap_err();
         assert_eq!(err.exit_code(), 4, "typed corruption, not a panic: {err}");
         assert!(err.to_string().contains("artifact.json"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -769,7 +747,7 @@ mod tests {
     fn replicated_read_maps_fully_absent_to_not_found() {
         let dir = test_dir("absent");
         let path = dir.join("missing.json");
-        let err = read_sealed_replicated(&FS_STORAGE, &path, &FaultHook::none()).unwrap_err();
+        let err = read_sealed_replicated(&FS_STORAGE, &path).unwrap_err();
         match err {
             CpdgError::Io { source, .. } => {
                 assert_eq!(source.kind(), io::ErrorKind::NotFound)
@@ -786,7 +764,7 @@ mod tests {
         let sealed = integrity::seal(br#"{"v":2}"#);
         // Only the primary on disk: the read backfills the replica.
         FS_STORAGE.write_atomic(&path, &sealed).unwrap();
-        let read = read_sealed_replicated(&FS_STORAGE, &path, &FaultHook::none()).unwrap();
+        let read = read_sealed_replicated(&FS_STORAGE, &path).unwrap();
         assert_eq!(read.repaired, 1);
         assert!(replica_path(&path, 1).exists(), "replica backfilled");
         std::fs::remove_dir_all(&dir).ok();
@@ -803,7 +781,7 @@ mod tests {
         // A primary that vanished (a removal in flight) is read from its
         // replica but never recreated from it.
         std::fs::remove_file(&path).unwrap();
-        let read = read_sealed_replicated(&FS_STORAGE, &path, &FaultHook::none()).unwrap();
+        let read = read_sealed_replicated(&FS_STORAGE, &path).unwrap();
         assert_eq!(read.payload, b"1\n/m.json");
         assert_eq!(read.repaired, 0);
         assert!(!path.exists(), "a missing primary must stay missing");
@@ -822,12 +800,12 @@ mod tests {
             FaultKind::Permanent,
             Trigger::Nth { n: 1 },
         ));
-        let read = read_sealed_replicated(&FS_STORAGE, &path, &hook).unwrap();
+        let read = read_sealed_replicated(&Storage::new(hook.clone()), &path).unwrap();
         assert_eq!(read.payload, br#"{"v":3}"#);
         assert_eq!(read.corrupt_copies, 1);
         // Every copy flipped → typed refusal.
         let hook = bitflip_hook(1);
-        let err = read_sealed_replicated(&FS_STORAGE, &path, &hook).unwrap_err();
+        let err = read_sealed_replicated(&Storage::new(hook.clone()), &path).unwrap_err();
         assert_eq!(err.exit_code(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -845,13 +823,13 @@ mod tests {
         bytes[3] ^= 0x10;
         std::fs::write(&ckpt, &bytes).unwrap();
         let mut scrubber = Scrubber::new(vec![dir.clone()], ScrubConfig::default());
-        let report = scrubber.scrub_cycle(&FS_STORAGE, &FaultHook::none());
+        let report = scrubber.scrub_cycle(&FS_STORAGE);
         assert_eq!(report.scanned, 2);
         assert_eq!(report.corrupt, 1);
         assert_eq!(report.repaired, 1);
         assert!(report.unrepairable.is_empty());
         // Second cycle: everything clean.
-        let report = scrubber.scrub_cycle(&FS_STORAGE, &FaultHook::none());
+        let report = scrubber.scrub_cycle(&FS_STORAGE);
         assert_eq!(report.corrupt, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -866,7 +844,7 @@ mod tests {
         sealed[at] ^= 0x01;
         FS_STORAGE.write_atomic(&ptr, &sealed).unwrap();
         let mut scrubber = Scrubber::new(vec![dir.clone()], ScrubConfig::default());
-        let report = scrubber.scrub_all(&FS_STORAGE, &FaultHook::none());
+        let report = scrubber.scrub_all(&FS_STORAGE);
         assert_eq!(report.unrepairable.len(), 1);
         assert_eq!(report.unrepairable[0].0, ArtifactClass::Pointer);
         std::fs::remove_dir_all(&dir).ok();
@@ -889,9 +867,7 @@ mod tests {
         // cover the catalog exactly once.
         let mut scanned = 0;
         for _ in 0..4 {
-            scanned += scrubber
-                .scrub_cycle(&FS_STORAGE, &FaultHook::none())
-                .scanned;
+            scanned += scrubber.scrub_cycle(&FS_STORAGE).scanned;
         }
         assert_eq!(scanned, 4);
         std::fs::remove_dir_all(&dir).ok();

@@ -403,16 +403,16 @@ impl Wal {
                 // the copy set (the chaos bitflip point may corrupt any
                 // read), healing bad copies from the first one whose frames
                 // all scan from the expected index.
-                let copies =
-                    crate::scrub::read_copies(&crate::FS_STORAGE, &path, &hook, |p, bytes| {
-                        match scan_segment(bytes, Some(next_index)) {
-                            Some(scan) if scan.valid_len == scan.total_len => Ok(scan),
-                            _ => Err(CpdgError::corrupt(
-                                p,
-                                "sealed WAL segment fails its frame scan",
-                            )),
-                        }
-                    });
+                let storage = Storage::new(hook.clone());
+                let copies = crate::scrub::read_copies(&storage, &path, |p, bytes| {
+                    match scan_segment(bytes, Some(next_index)) {
+                        Some(scan) if scan.valid_len == scan.total_len => Ok(scan),
+                        _ => Err(CpdgError::corrupt(
+                            p,
+                            "sealed WAL segment fails its frame scan",
+                        )),
+                    }
+                });
                 if copies.corrupt > 0 {
                     cpdg_obs::counter!("wal.segment_corruptions").inc();
                 }
@@ -905,12 +905,8 @@ impl WalCheckpoint {
     /// when no copy exists (a cold start, not an error); a typed
     /// corruption error (naming the checkpoint path) when copies exist but
     /// none verifies.
-    pub fn load(
-        storage: &Storage,
-        path: &Path,
-        hook: &FaultHook,
-    ) -> CpdgResult<Option<WalCheckpoint>> {
-        let read = match crate::scrub::read_sealed_replicated(storage, path, hook) {
+    pub fn load(storage: &Storage, path: &Path) -> CpdgResult<Option<WalCheckpoint>> {
+        let read = match crate::scrub::read_sealed_replicated(storage, path) {
             Ok(read) => read,
             Err(CpdgError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(None)
@@ -1410,7 +1406,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(CHECKPOINT_FILE);
         let hook = FaultHook::none();
-        assert!(WalCheckpoint::load(&FS_STORAGE, &path, &hook)
+        assert!(WalCheckpoint::load(&Storage::new(hook.clone()), &path)
             .unwrap()
             .is_none());
         let ckpt = WalCheckpoint {
@@ -1427,7 +1423,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
-        let loaded = WalCheckpoint::load(&FS_STORAGE, &path, &hook)
+        let loaded = WalCheckpoint::load(&Storage::new(hook.clone()), &path)
             .unwrap()
             .unwrap();
         assert_eq!(loaded.applied, 3);
@@ -1438,7 +1434,7 @@ mod tests {
             bytes[4] ^= 0x20;
             std::fs::write(&p, &bytes).unwrap();
         }
-        let err = WalCheckpoint::load(&FS_STORAGE, &path, &hook).unwrap_err();
+        let err = WalCheckpoint::load(&Storage::new(hook.clone()), &path).unwrap_err();
         assert_eq!(err.exit_code(), 4);
         assert!(err.to_string().contains(CHECKPOINT_FILE), "{err}");
         std::fs::remove_dir_all(&dir).ok();
@@ -1695,7 +1691,7 @@ mod tests {
             crate::scrub::write_replicated(&FS_STORAGE, &path, &sealed).unwrap();
             let before = snapshot(&root);
             refuse_sharded_root(&root).unwrap();
-            let err = WalCheckpoint::load(&FS_STORAGE, &path, &hook).unwrap_err();
+            let err = WalCheckpoint::load(&Storage::new(hook.clone()), &path).unwrap_err();
             assert!(
                 matches!(&err, CpdgError::Corrupt { path: p, .. } if *p == path),
                 "{what}: {err}"
@@ -1718,7 +1714,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(CHECKPOINT_FILE);
         let hook = FaultHook::none();
-        assert!(WalCheckpoint::load(&FS_STORAGE, &path, &hook)
+        assert!(WalCheckpoint::load(&Storage::new(hook.clone()), &path)
             .unwrap()
             .is_none());
 
@@ -1735,7 +1731,7 @@ mod tests {
             },
         };
         ckpt.save(&FS_STORAGE, &path).unwrap();
-        let loaded = WalCheckpoint::load(&FS_STORAGE, &path, &hook)
+        let loaded = WalCheckpoint::load(&Storage::new(hook.clone()), &path)
             .unwrap()
             .unwrap();
         assert_eq!(loaded.applied, 2);
@@ -1748,7 +1744,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[10] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let err = WalCheckpoint::load(&FS_STORAGE, &path, &hook).unwrap_err();
+        let err = WalCheckpoint::load(&Storage::new(hook.clone()), &path).unwrap_err();
         assert!(matches!(err, CpdgError::CorruptArtifact { .. }), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

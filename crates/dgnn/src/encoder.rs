@@ -486,7 +486,7 @@ impl DgnnEncoder {
         };
 
         // Mem(·): update from previous states.
-        let prev = ev.constant(self.memory.gather(&dirty.nodes));
+        let prev = ev.constant_with(|buf| self.memory.gather_into(&dirty.nodes, buf));
         let (new_states, new_cells) = match self.cfg.mem {
             MemKind::Gru => (
                 self.mem_gru
@@ -668,7 +668,7 @@ impl DgnnEncoder {
         nodes: &[NodeId],
     ) -> Var {
         let s = match states {
-            None => ev.constant(self.memory.gather(nodes)),
+            None => ev.constant_with(|buf| self.memory.gather_into(nodes, buf)),
             Some(states) => {
                 let n_fresh = ev.value(states).rows();
                 let mut clean: Vec<NodeId> = Vec::with_capacity(nodes.len());
@@ -685,7 +685,7 @@ impl DgnnEncoder {
                 let source = if clean.is_empty() {
                     states
                 } else {
-                    let stored = ev.constant(self.memory.gather(&clean));
+                    let stored = ev.constant_with(|buf| self.memory.gather_into(&clean, buf));
                     ev.stack_rows(&[states, stored])
                 };
                 ev.gather_rows(source, &idx)
@@ -1085,7 +1085,8 @@ mod tests {
             let ctx = enc.apply_pending(&mut tape, &store, &graph);
             let z = enc.embed_many(&mut tape, &store, &ctx, &graph, &nodes, &times);
             let loss = weighted_sum(&mut tape, z, 0);
-            let stacked = tape.param_grads(&tape.backward(loss));
+            let grads = tape.backward(loss);
+            let stacked = tape.param_grads(&grads);
 
             let mut ref_tape = Tape::new();
             let ref_ctx = enc.apply_pending(&mut ref_tape, &store, &graph);
@@ -1103,7 +1104,8 @@ mod tests {
                     None => li,
                 });
             }
-            let reference = ref_tape.param_grads(&ref_tape.backward(ref_loss.expect("rows")));
+            let grads = ref_tape.backward(ref_loss.expect("rows"));
+            let reference = ref_tape.param_grads(&grads);
             assert_grads_close(name, &stacked, &reference);
         }
     }
@@ -1128,7 +1130,8 @@ mod tests {
         let queries = tape.constant(enc.memory.gather(&receivers));
         let pooled = enc.pool_partner_neighbourhoods(&mut tape, &store, &graph, &msgs, queries);
         let loss = weighted_sum(&mut tape, pooled, 0);
-        let stacked = tape.param_grads(&tape.backward(loss));
+        let grads = tape.backward(loss);
+        let stacked = tape.param_grads(&grads);
 
         let attn = enc.msg_attn.as_ref().expect("attn msg");
         let mut ref_tape = Tape::new();
@@ -1155,7 +1158,8 @@ mod tests {
                 None => li,
             });
         }
-        let reference = ref_tape.param_grads(&ref_tape.backward(ref_loss.expect("messages")));
+        let grads = ref_tape.backward(ref_loss.expect("messages"));
+        let reference = ref_tape.param_grads(&grads);
         assert_grads_close("DyRep messages", &stacked, &reference);
     }
 

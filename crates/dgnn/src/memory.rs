@@ -11,6 +11,7 @@
 //! Information Enhanced fine-tuning (Eq. 18).
 
 use cpdg_graph::{NodeId, Timestamp};
+use cpdg_tensor::matrix::refit;
 use cpdg_tensor::Matrix;
 
 /// Per-node state store.
@@ -84,7 +85,12 @@ impl Memory {
     /// Gathers the states of `nodes` into an `m × dim` matrix, copying each
     /// row straight into it.
     pub fn gather(&self, nodes: &[NodeId]) -> Matrix {
-        let mut data = Vec::with_capacity(nodes.len() * self.dim());
+        self.gather_into(nodes, Vec::new())
+    }
+
+    /// [`Memory::gather`] written into `data`, refit to the result's length.
+    pub fn gather_into(&self, nodes: &[NodeId], mut data: Vec<f32>) -> Matrix {
+        refit(&mut data, nodes.len() * self.dim());
         for &n in nodes {
             data.extend_from_slice(self.state_row(n));
         }

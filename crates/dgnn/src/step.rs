@@ -28,15 +28,17 @@ impl Update {
 /// (`f32::INFINITY` clips nothing), and with `Some((guard, step))` the
 /// guard's verdict on the loss and pre-clip norm: `Ok(None)` skips the
 /// step, `Err` is the guard's divergence report. Unguarded steps always
-/// yield `Ok(Some(update))`.
+/// yield `Ok(Some(update))`. Once the parameter gradients are copied out,
+/// the pass's buffers go back to `tape` for its next step.
 pub fn train_step(
-    tape: &Tape,
+    tape: &mut Tape,
     loss: Var,
     max_norm: f32,
     guard: Option<(&mut TrainGuard, usize)>,
 ) -> Result<Option<Update>, DivergenceReport> {
-    let grads = tape.backward(loss);
-    let mut grads = tape.param_grads(&grads);
+    let pass = tape.backward(loss);
+    let mut grads = tape.param_grads(&pass);
+    tape.recycle(pass);
     let pre_norm = clip_global_norm(&mut grads, max_norm);
     let lr_scale = match guard {
         None => 1.0,
@@ -107,7 +109,7 @@ mod tests {
     ) -> Result<bool, DivergenceReport> {
         let mut tape = Tape::new();
         let loss = problem.record(&mut tape, gain);
-        let update = train_step(&tape, loss, max_norm, guard)?;
+        let update = train_step(&mut tape, loss, max_norm, guard)?;
         let proceeded = update.is_some();
         if let Some(update) = update {
             update.apply(opt, &mut problem.store);
@@ -119,7 +121,8 @@ mod tests {
     fn observed(problem: &Problem, gain: f32) -> (f32, f32) {
         let mut tape = Tape::new();
         let loss = problem.record(&mut tape, gain);
-        let mut pg = tape.param_grads(&tape.backward(loss));
+        let grads = tape.backward(loss);
+        let mut pg = tape.param_grads(&grads);
         (
             tape.value(loss).get(0, 0),
             clip_global_norm(&mut pg, f32::INFINITY),
@@ -236,7 +239,8 @@ mod tests {
             // Large gradients: any finite clip would scale them.
             let mut tape = Tape::new();
             let loss = p.record(&mut tape, 1e6);
-            let pg = tape.param_grads(&tape.backward(loss));
+            let grads = tape.backward(loss);
+            let pg = tape.param_grads(&grads);
             opt_p.step(&mut p.store, &pg);
             assert!(stepped(&mut q, &mut opt_q, 1e6, f32::INFINITY, None).unwrap());
         }

@@ -123,13 +123,14 @@ pub fn train_link_prediction_guarded(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut epoch_losses = Vec::with_capacity(cfg.epochs);
     let mut step = 0usize;
+    let mut tape = Tape::new();
 
     for _ in 0..cfg.epochs {
         encoder.reset_state();
         let mut total = 0.0f64;
         let mut batches = 0usize;
         for chunk in graph.events().chunks(cfg.batch_size.max(1)) {
-            let mut tape = Tape::new();
+            tape.reset();
             let ctx = encoder.apply_pending(&mut tape, store, graph);
 
             let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
@@ -144,7 +145,7 @@ pub fn train_link_prediction_guarded(
             let pos_logits = head.score(&mut tape, store, z_src, z_dst);
             let neg_logits = head.score(&mut tape, store, z_src, z_neg);
             let loss = link_prediction_loss(&mut tape, pos_logits, neg_logits);
-            match train_step(&tape, loss, cfg.grad_clip, Some((&mut *guard, step))) {
+            match train_step(&mut tape, loss, cfg.grad_clip, Some((&mut *guard, step))) {
                 Ok(Some(update)) => {
                     total += f64::from(tape.value(loss).get(0, 0));
                     batches += 1;

@@ -1,14 +1,15 @@
-//! Allocation counts of the serving forward, pinned exactly.
+//! Allocation counts of the serving forward, and of the training tape's
+//! large buffers, pinned exactly.
 //!
 //! A counting global allocator tallies every `alloc`, `alloc_zeroed` and
-//! `realloc` per thread, so tests running in parallel do not leak into each
-//! other's counts. The tests count and never time: a changed count means
-//! the forward's buffers changed, which these pins make a visible, deliberate
-//! decision.
+//! `realloc` per thread, and separately those of at least 64 KiB, so tests
+//! running in parallel do not leak into each other's counts. The tests
+//! count and never time: a changed count means the buffers changed, which
+//! these pins make a visible, deliberate decision.
 
 use cpdg_dgnn::{Deadline, DgnnConfig, DgnnEncoder, EncoderKind};
 use cpdg_graph::{graph_from_triples, DynamicGraph, Interaction, NodeId, Timestamp};
-use cpdg_tensor::ParamStore;
+use cpdg_tensor::{Forward, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -18,28 +19,41 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGE: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Size from which an allocation counts as large.
+const LARGE_BYTES: usize = 64 << 10;
+
+/// Counts one allocation call that asks for `grown` new bytes.
+fn bump(grown: usize) {
     // `try_with`: the slot is gone while a thread is being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if grown >= LARGE_BYTES {
+        let _ = LARGE.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every call forwards to `System` unchanged; the count is a
 // thread-local `Cell`, which neither allocates nor blocks.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        // A shrink asks for no memory, so it is never a large allocation.
+        bump(if new_size > layout.size() {
+            new_size
+        } else {
+            0
+        });
         System.realloc(ptr, layout, new_size)
     }
 
@@ -56,6 +70,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     drop(f());
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Allocations of at least [`LARGE_BYTES`] that `f` makes on this thread.
+fn large_allocations(f: impl FnOnce()) -> u64 {
+    let before = LARGE.with(Cell::get);
+    f();
+    LARGE.with(Cell::get) - before
 }
 
 const NODES: usize = 200;
@@ -127,4 +148,43 @@ fn eight_query_infer_rows_allocations_are_pinned() {
     drop(infer());
     let counts: Vec<u64> = (0..3).map(|_| allocations(infer)).collect();
     assert_eq!(counts, [23; 3], "8-query infer_rows");
+}
+
+#[test]
+fn a_reset_tape_records_a_same_shaped_step_without_large_allocations() {
+    let (store, enc, graph) = serving_encoder();
+    let events = &graph.events()[400..600];
+    let srcs: Vec<NodeId> = events.iter().map(|e| e.src).collect();
+    let times: Vec<Timestamp> = events.iter().map(|e| e.t).collect();
+    let record = |tape: &mut Tape| {
+        tape.reset();
+        let ctx = enc.apply_pending(tape, &store, &graph);
+        let z = enc.embed_many(tape, &store, &ctx, &graph, &srcs, &times);
+        tape.mean_all(z)
+    };
+    let differentiate = |tape: &mut Tape, loss| {
+        let grads = tape.backward(loss);
+        tape.recycle(grads);
+    };
+    let mut tape = Tape::new();
+    // The first recording and its reverse pass allocate the step's large
+    // value and gradient buffers. A second recording of the same shape
+    // writes every value into the buffer its slot held; its one large
+    // allocation is the attention's transposed keys, a scratch buffer the
+    // free list no longer holds at that size. The second reverse pass
+    // finds most of its buffers on the free list, and allocates where the
+    // list gave back what it held to keep its bytes within the pass's
+    // live peak.
+    let first = large_allocations(|| {
+        let loss = record(&mut tape);
+        differentiate(&mut tape, loss);
+    });
+    let mut loss = None;
+    let second = large_allocations(|| loss = Some(record(&mut tape)));
+    let second_pass = large_allocations(|| differentiate(&mut tape, loss.expect("recorded")));
+    assert_eq!(
+        (first, second, second_pass),
+        (20, 1, 8),
+        "large allocations: first step, second recording, second reverse pass"
+    );
 }

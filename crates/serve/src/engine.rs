@@ -660,7 +660,8 @@ impl Engine {
         let inner = &mut *inner;
         let ckpt_path = dir.join(wal::CHECKPOINT_FILE);
         let mut applied = 0u64;
-        if let Some(ckpt) = WalCheckpoint::load(&cpdg_core::FS_STORAGE, &ckpt_path, &self.hook)? {
+        let storage = Storage::new(self.hook.clone());
+        if let Some(ckpt) = WalCheckpoint::load(&storage, &ckpt_path)? {
             if ckpt.graph.num_nodes() != inner.epoch.num_nodes {
                 return Err(CpdgError::corrupt(
                     &ckpt_path,

@@ -18,7 +18,7 @@
 
 use crate::engine::{Engine, Stat};
 use crate::supervisor::{Cycle, Supervisor};
-use cpdg_core::{FaultHook, ScrubConfig, Scrubber, FS_STORAGE};
+use cpdg_core::{FaultHook, ScrubConfig, Scrubber, Storage};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,13 +29,13 @@ struct ScrubCycle {
     engine: Arc<Engine>,
     roots: Vec<PathBuf>,
     config: ScrubConfig,
-    hook: FaultHook,
+    storage: Storage,
     scrubber: Scrubber,
 }
 
 impl Cycle for ScrubCycle {
     fn cycle(&mut self) -> ControlFlow<()> {
-        let report = self.scrubber.scrub_cycle(&FS_STORAGE, &self.hook);
+        let report = self.scrubber.scrub_cycle(&self.storage);
         let e = &self.engine;
         e.count(Stat::ScrubCycles);
         e.add(Stat::ScrubScanned, report.scanned);
@@ -79,7 +79,7 @@ impl Supervisor {
             scrubber: Scrubber::new(roots.clone(), config),
             roots,
             config,
-            hook,
+            storage: Storage::new(hook),
         };
         Self::start(engine, Stat::Scrub, interval, body)
     }
@@ -106,7 +106,7 @@ mod tests {
     fn sealed_pair(dir: &Path, name: &str, payload: &[u8]) -> PathBuf {
         let path = dir.join(name);
         cpdg_core::scrub::write_replicated(
-            &FS_STORAGE,
+            &cpdg_core::FS_STORAGE,
             &path,
             &cpdg_core::integrity::seal(payload),
         )

@@ -38,7 +38,7 @@ use crate::engine::{Engine, Stat};
 use crate::supervisor::{Cycle, Supervisor};
 use cpdg_core::{
     validate_candidate, ContinualConfig, ContinualTrainer, CpdgError, CpdgResult, CycleReport,
-    FaultHook, GateReport, ModelFile, FS_STORAGE,
+    FaultHook, GateReport, ModelFile, Storage, FS_STORAGE,
 };
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
@@ -361,7 +361,10 @@ impl TrainerRuntime {
                 path.display()
             )));
         }
-        if let Err(e) = self.trainer.emit_candidate(&FS_STORAGE, &path, &self.hook) {
+        if let Err(e) = self
+            .trainer
+            .emit_candidate(&Storage::new(self.hook.clone()), &path)
+        {
             self.quarantine(&path, &e.to_string());
             return Ok(CycleOutcome::Quarantined(format!("emit failed: {e}")));
         }
@@ -472,14 +475,13 @@ pub struct PromotedEpoch {
 /// fall back to their base model.
 pub fn read_promoted(epoch_dir: &Path) -> CpdgResult<Option<PromotedEpoch>> {
     let pointer = epoch_dir.join(PROMOTED_POINTER);
-    let read =
-        match cpdg_core::scrub::read_sealed_replicated(&FS_STORAGE, &pointer, &FaultHook::none()) {
-            Ok(read) => read,
-            Err(CpdgError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        };
+    let read = match cpdg_core::scrub::read_sealed_replicated(&FS_STORAGE, &pointer) {
+        Ok(read) => read,
+        Err(CpdgError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
+            return Ok(None)
+        }
+        Err(e) => return Err(e),
+    };
     let text = std::str::from_utf8(&read.payload)
         .map_err(|e| CpdgError::corrupt(&pointer, e.to_string()))?;
     let mut lines = text.lines();

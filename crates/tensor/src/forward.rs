@@ -19,7 +19,7 @@
 //! [`Forward::take`]: an `Eval` moves the value out (reading that variable
 //! again panics, naming it) and allocates one matrix fewer. A `Tape` keeps
 //! every input, because its reverse pass reads them, so there a consuming
-//! op computes into a fresh buffer just as its copying form does. Either
+//! op computes into its own buffer just as its copying form does. Either
 //! way the per-element arithmetic is the copying form's, so the bits do
 //! not change. An op keeps a copying form only where a caller uses it
 //! (`add`, `mul` and `tanh` on values read again; `sub`, `sigmoid` and
@@ -58,15 +58,25 @@ pub trait Forward<'s>: Record {
         self.push(value, || Op::Leaf)
     }
 
+    /// [`Forward::constant`] for a value `fill` writes into the buffer it
+    /// is given: on a tape the one this variable's slot held in the
+    /// previous recording, on a forward-only evaluator an empty `Vec`.
+    fn constant_with(&mut self, fill: impl FnOnce(Vec<f32>) -> Matrix) -> Var {
+        let v = fill(self.buffer());
+        self.constant(v)
+    }
+
     /// [`Forward::constant`] for a value that outlives the evaluator: a
     /// forward-only evaluator reads it in place, a recording one copies it.
     fn mount(&mut self, value: &'s Matrix) -> Var {
-        self.constant(value.clone())
+        let v = value.copy_into(self.buffer());
+        self.constant(v)
     }
 
     /// Matrix product.
     fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
+        let buf = self.buffer();
+        let v = self.value(a).matmul_into(self.value(b), buf);
         self.push(v, || Op::MatMul(a, b))
     }
 
@@ -75,14 +85,15 @@ pub trait Forward<'s>: Record {
     /// [`Forward::add_broadcast_row_in_place`], with one matrix where they
     /// make two.
     fn affine(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let mut v = self.value(x).matmul(self.value(w));
+        let buf = self.buffer();
+        let mut v = self.value(x).matmul_into(self.value(w), buf);
         v.add_row_inplace(self.value(b));
         self.push(v, || Op::Affine(x, w, b))
     }
 
     /// Elementwise sum (same shapes).
     fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x + y);
+        let v = zip_fresh(self, a, b, |x, y| x + y);
         self.push(v, || Op::Add(a, b))
     }
 
@@ -103,7 +114,7 @@ pub trait Forward<'s>: Record {
 
     /// Elementwise difference.
     fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x - y);
+        let v = zip_fresh(self, a, b, |x, y| x - y);
         self.push(v, || Op::Sub(a, b))
     }
 
@@ -116,7 +127,7 @@ pub trait Forward<'s>: Record {
 
     /// Elementwise (Hadamard) product.
     fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x * y);
+        let v = zip_fresh(self, a, b, |x, y| x * y);
         self.push(v, || Op::Mul(a, b))
     }
 
@@ -129,19 +140,19 @@ pub trait Forward<'s>: Record {
 
     /// Scalar multiple.
     fn scale(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).map(|x| x * s);
+        let v = map_fresh(self, a, |x| x * s);
         self.push(v, || Op::Scale(a, s))
     }
 
     /// Elementwise scalar addition.
     fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).map(|x| x + s);
+        let v = map_fresh(self, a, |x| x + s);
         self.push(v, || Op::AddScalar(a, s))
     }
 
     /// Logistic sigmoid.
     fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(sigmoid);
+        let v = map_fresh(self, a, sigmoid);
         self.push(v, || Op::Sigmoid(a))
     }
 
@@ -153,7 +164,7 @@ pub trait Forward<'s>: Record {
 
     /// Hyperbolic tangent.
     fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
+        let v = map_fresh(self, a, f32::tanh);
         self.push(v, || Op::Tanh(a))
     }
 
@@ -165,7 +176,7 @@ pub trait Forward<'s>: Record {
 
     /// Rectified linear unit.
     fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(relu);
+        let v = map_fresh(self, a, relu);
         self.push(v, || Op::Relu(a))
     }
 
@@ -183,13 +194,14 @@ pub trait Forward<'s>: Record {
 
     /// Elementwise square root (inputs are clamped at zero).
     fn sqrt(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0).sqrt());
+        let v = map_fresh(self, a, |x| x.max(0.0).sqrt());
         self.push(v, || Op::Sqrt(a))
     }
 
     /// `[a ‖ b]` column concatenation (same row counts).
     fn concat_cols(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).hcat(self.value(b));
+        let buf = self.buffer();
+        let v = self.value(a).hcat_into(self.value(b), buf);
         self.push(v, || Op::ConcatCols(a, b))
     }
 
@@ -209,14 +221,19 @@ pub trait Forward<'s>: Record {
         segments: &[Range<usize>],
         scale: f32,
     ) -> Var {
+        let kt_buf = self.scratch(self.value(k).len());
+        let kt = self.value(k).transpose_into(kt_buf);
+        let out_buf = self.buffer();
         let (out, weights) = segment_attention(
             self.value(q),
-            self.value(k),
+            &kt,
             self.value(v),
             segments,
             scale,
             Self::RECORDS,
+            out_buf,
         );
+        self.release(kt.into_data());
         self.push(out, || Op::SegmentAttention {
             q,
             k,
@@ -229,14 +246,16 @@ pub trait Forward<'s>: Record {
 
     /// Gathers rows of `a` by index (indices may repeat).
     fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
-        let v = self.value(a).gather_rows(indices);
+        let buf = self.buffer();
+        let v = self.value(a).gather_rows_into(indices, buf);
         self.push(v, || Op::GatherRows(a, indices.to_vec()))
     }
 
     /// Stacks matrices of equal width top to bottom: `[p₀; p₁; …]`.
     fn stack_rows(&mut self, parts: &[Var]) -> Var {
+        let buf = self.buffer();
         let rows: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
-        let v = Matrix::vstack(&rows);
+        let v = Matrix::vstack_into(&rows, buf);
         self.push(v, || Op::StackRows(parts.to_vec()))
     }
 
@@ -246,8 +265,9 @@ pub trait Forward<'s>: Record {
     /// an empty segment gives a zero row). Segments may overlap;
     /// `&[0..rows]` is the plain column mean.
     fn mean_rows(&mut self, a: Var, segments: &[Range<usize>]) -> Var {
+        let buf = self.buffer();
         let va = self.value(a);
-        let mut v = Matrix::zeros(segments.len(), va.cols());
+        let mut v = Matrix::full_into(segments.len(), va.cols(), 0.0, buf);
         for (i, seg) in segments.iter().enumerate() {
             let out = v.row_mut(i);
             for r in seg.clone() {
@@ -266,21 +286,24 @@ pub trait Forward<'s>: Record {
     /// Mean of all elements (`1×1`).
     fn mean_all(&mut self, a: Var) -> Var {
         let m = self.value(a).mean();
-        self.push(Matrix::from_vec(1, 1, vec![m]), || Op::MeanAll(a))
+        let v = Matrix::full_into(1, 1, m, self.buffer());
+        self.push(v, || Op::MeanAll(a))
     }
 
     /// Sum of all elements (`1×1`).
     fn sum_all(&mut self, a: Var) -> Var {
         let s = self.value(a).sum();
-        self.push(Matrix::from_vec(1, 1, vec![s]), || Op::SumAll(a))
+        let v = Matrix::full_into(1, 1, s, self.buffer());
+        self.push(v, || Op::SumAll(a))
     }
 
     /// Row-wise squared Euclidean distance between same-shaped matrices,
     /// producing `m×1`.
     fn sq_dist_rows(&mut self, a: Var, b: Var) -> Var {
+        let buf = self.buffer();
         let (va, vb) = (self.value(a), self.value(b));
         assert_eq!(va.shape(), vb.shape(), "sq_dist_rows: shape mismatch");
-        let mut v = Matrix::zeros(va.rows(), 1);
+        let mut v = Matrix::full_into(va.rows(), 1, 0.0, buf);
         for r in 0..va.rows() {
             let d: f32 = va
                 .row(r)
@@ -295,14 +318,14 @@ pub trait Forward<'s>: Record {
 
     /// Elementwise natural exponential.
     fn exp(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::exp);
+        let v = map_fresh(self, a, f32::exp);
         self.push(v, || Op::Exp(a))
     }
 
     /// Elementwise natural logarithm (inputs are clamped at a tiny floor so
     /// the forward and backward stay finite).
     fn ln(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(LN_EPS).ln());
+        let v = map_fresh(self, a, |x| x.max(LN_EPS).ln());
         self.push(v, || Op::Ln(a))
     }
 
@@ -323,10 +346,11 @@ pub trait Forward<'s>: Record {
 
     /// `a[m,n] ∘ b[1,n]`, broadcasting `b` over rows (per-channel gain).
     fn mul_broadcast_row(&mut self, a: Var, b: Var) -> Var {
+        let buf = self.buffer();
         let (va, vb) = (self.value(a), self.value(b));
         assert_eq!(vb.rows(), 1, "mul_broadcast_row: rhs must be 1×n");
         assert_eq!(va.cols(), vb.cols(), "mul_broadcast_row: width mismatch");
-        let mut v = va.clone();
+        let mut v = va.copy_into(buf);
         for r in 0..v.rows() {
             let row = v.row_mut(r);
             for (x, &y) in row.iter_mut().zip(vb.row(0).iter()) {
@@ -339,9 +363,10 @@ pub trait Forward<'s>: Record {
     /// Row-wise standardisation `(x − μ_row)/sqrt(σ²_row + eps)` — the core
     /// of layer normalisation.
     fn normalize_rows(&mut self, a: Var, eps: f32) -> Var {
+        let buf = self.buffer();
         let va = self.value(a);
         let n = va.cols().max(1) as f32;
-        let mut v = va.clone();
+        let mut v = va.copy_into(buf);
         for r in 0..v.rows() {
             let row = v.row_mut(r);
             let mu: f32 = row.iter().sum::<f32>() / n;
@@ -371,9 +396,8 @@ pub trait Forward<'s>: Record {
             .zip(targets.data().iter())
             .map(|(&xi, &yi)| xi.max(0.0) - xi * yi + softplus(-xi.abs()))
             .sum();
-        self.push(Matrix::from_vec(1, 1, vec![total / n]), || {
-            Op::BceWithLogits { logits, targets }
-        })
+        let v = Matrix::full_into(1, 1, total / n, self.buffer());
+        self.push(v, || Op::BceWithLogits { logits, targets })
     }
 
     /// Euclidean (L2) distance between corresponding rows: `sqrt(sq_dist)`.
@@ -385,17 +409,35 @@ pub trait Forward<'s>: Record {
     }
 }
 
+/// `f` over `a`'s value, written into the evaluator's
+/// [`Record::buffer`]: the value of a copying op.
+fn map_fresh<'s, F: Forward<'s> + ?Sized>(ev: &mut F, a: Var, f: impl Fn(f32) -> f32) -> Matrix {
+    let buf = ev.buffer();
+    ev.value(a).map_into(f, buf)
+}
+
+/// [`map_fresh`] for an elementwise `f(a, b)`.
+fn zip_fresh<'s, F: Forward<'s> + ?Sized>(
+    ev: &mut F,
+    a: Var,
+    b: Var,
+    f: impl Fn(f32, f32) -> f32,
+) -> Matrix {
+    let buf = ev.buffer();
+    ev.value(a).zip_into(ev.value(b), f, buf)
+}
+
 /// `f` over `a`'s value, for a consuming op: written into `a`'s own
 /// buffer when the evaluator gives it up ([`Forward::take`]). A recording
-/// evaluator keeps every input for its reverse pass, so there `f` writes a
-/// fresh buffer, exactly as the copying op does, rather than into a copy.
+/// evaluator keeps every input for its reverse pass, so there `f` writes
+/// the value the copying op would, rather than into a copy.
 fn map_consuming<'s, F: Forward<'s> + ?Sized>(
     ev: &mut F,
     a: Var,
     f: impl Fn(f32) -> f32,
 ) -> Matrix {
     if F::RECORDS {
-        return ev.value(a).map(f);
+        return map_fresh(ev, a, f);
     }
     let mut v = ev.take(a);
     v.map_inplace(f);
@@ -411,7 +453,7 @@ fn zip_consuming<'s, F: Forward<'s> + ?Sized>(
     f: impl Fn(f32, f32) -> f32,
 ) -> Matrix {
     if F::RECORDS {
-        return ev.value(a).zip(ev.value(b), f);
+        return zip_fresh(ev, a, b, f);
     }
     let mut v = ev.take(a);
     v.zip_inplace(ev.value(b), f);
@@ -447,6 +489,16 @@ impl Eval<'_> {
 
 impl Record for Eval<'_> {
     const RECORDS: bool = false;
+
+    fn buffer(&mut self) -> Vec<f32> {
+        Vec::new()
+    }
+
+    fn scratch(&mut self, _len: usize) -> Vec<f32> {
+        Vec::new()
+    }
+
+    fn release(&mut self, _buf: Vec<f32>) {}
 
     fn push(&mut self, value: Matrix, _op: impl FnOnce() -> Op) -> Var {
         self.values.push(Slot::Owned(value));

@@ -25,13 +25,16 @@
 //! let mlp = Mlp::new(&mut store, &mut rng, "net", &[2, 8, 1], Activation::Relu);
 //! let mut opt = Adam::new(1e-2);
 //!
+//! // One tape for the loop: each step resets it and reuses its buffers.
+//! let mut tape = Tape::new();
 //! for _ in 0..50 {
-//!     let mut tape = Tape::new();
+//!     tape.reset();
 //!     let x = tape.constant(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
 //!     let y = mlp.forward(&mut tape, &store, x);
 //!     let loss = tape.bce_with_logits(y, Matrix::from_rows(&[&[1.0], &[0.0]]));
 //!     let grads = tape.backward(loss);
 //!     let pg = tape.param_grads(&grads);
+//!     tape.recycle(grads);
 //!     opt.step(&mut store, &pg);
 //! }
 //! ```

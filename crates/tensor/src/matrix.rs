@@ -57,7 +57,7 @@ impl Lhs<'_> {
 }
 
 /// Computes `out[i][j] = Σₚ lhs(i, p) · b[p][j]` over `p` in `0..depth`
-/// for every row `i` of `out` (`n` wide, arriving zeroed), running the
+/// for every row `i` of `out` (`n` wide, overwritten), running the
 /// AVX2 instance of [`product_block_body`] where the CPU has AVX2.
 fn product_block(lhs: Lhs, depth: usize, b: &[f32], n: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -90,6 +90,10 @@ fn product_block_avx2(lhs: Lhs, depth: usize, b: &[f32], n: usize, out: &mut [f3
 #[inline(always)]
 fn product_block_body(lhs: Lhs, depth: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if n == 0 {
+        return;
+    }
+    if depth == 0 {
+        out.fill(0.0);
         return;
     }
     let rows = out.len() / n;
@@ -173,7 +177,9 @@ fn col_tiles<const R: usize>(
 
 /// The micro-kernel: adds `Σₚ a_col(p)[r] · b[p][j0 + c]` over `depth`,
 /// ascending, to the `R × C` block of `out` at `(i0, j0)`, holding the
-/// block in locals for the whole walk.
+/// block in locals for the whole walk. The first depth block starts the
+/// sums from `+0` rather than reading `out`, so `out` need not arrive
+/// zeroed.
 #[inline(always)]
 fn tile<const R: usize, const C: usize>(
     a_col: impl Fn(usize) -> [f32; R],
@@ -184,8 +190,10 @@ fn tile<const R: usize, const C: usize>(
     out: &mut [f32],
 ) {
     let mut acc = [[0.0f32; C]; R];
-    for (r, acc_row) in acc.iter_mut().enumerate() {
-        acc_row.copy_from_slice(&out[(i0 + r) * n + j0..][..C]);
+    if depth.start > 0 {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            acc_row.copy_from_slice(&out[(i0 + r) * n + j0..][..C]);
+        }
     }
     for p in depth {
         let b_row: &[f32; C] = b[p * n + j0..][..C].try_into().expect("C values");
@@ -213,18 +221,57 @@ pub(crate) fn avx2_instance_runs(test: &str) -> bool {
     false
 }
 
-/// Allocates a zeroed `rows × n` product, fills it with `kernel` and
-/// counts the dispatch and its flops (`flops` = the product's `m·k·n`).
-fn run_product(rows: usize, n: usize, flops: usize, kernel: impl FnOnce(&mut [f32])) -> Matrix {
+/// Empties `buf` for a kernel that pushes `len` values. A buffer whose
+/// capacity is not exactly `len` is freed and replaced by one that is,
+/// the old freed before the new is allocated; an empty `Vec` becomes one
+/// allocation of exactly `len`, as a fresh matrix is. Swapping buffers
+/// costs a free and a malloc, which are cheaper than shrinking one in
+/// place with `realloc`.
+pub fn refit(buf: &mut Vec<f32>, len: usize) {
+    if buf.capacity() == len {
+        buf.clear();
+    } else {
+        *buf = Vec::new();
+        buf.reserve_exact(len);
+    }
+}
+
+/// `buf` fitted as [`refit`] does, but holding `len` values for a kernel
+/// that overwrites each: a reused buffer keeps its old values, so it is
+/// not written at all, and a new one is zeroed as a fresh matrix is.
+fn overwritable(mut buf: Vec<f32>, len: usize) -> Vec<f32> {
+    if buf.capacity() != len {
+        drop(buf);
+        return vec![0.0; len];
+    }
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Fills `buf`, fitted to `rows × n`, with `kernel` (which writes every
+/// element) and counts the dispatch and its flops (`flops` = the
+/// product's `m·k·n`).
+fn run_product(
+    rows: usize,
+    n: usize,
+    flops: usize,
+    buf: Vec<f32>,
+    kernel: impl FnOnce(&mut [f32]),
+) -> Matrix {
     cpdg_obs::counter!("matmul.dispatches").inc();
     cpdg_obs::counter!("matmul.flops").add(2 * flops as u64);
-    let mut out = Matrix::zeros(rows, n);
+    let mut out = Matrix::from_vec(rows, n, overwritable(buf, rows * n));
     kernel(&mut out.data);
     out
 }
 
 /// A dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq)]
+///
+/// Every method that builds a new matrix has an `_into` form that writes
+/// it into a given buffer, refit to exactly the matrix's length (see
+/// `refit`), and the allocating method passes it an empty `Vec`: one
+/// kernel per op, whoever owns the buffer.
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -238,6 +285,12 @@ impl fmt::Debug for Matrix {
             write!(f, " {:?}", self.data)?;
         }
         Ok(())
+    }
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        self.copy_into(Vec::new())
     }
 }
 
@@ -257,6 +310,34 @@ impl Matrix {
             rows,
             cols,
             data: vec![value; rows * cols],
+        }
+    }
+
+    /// [`Matrix::full`] written into `buf`.
+    pub fn full_into(rows: usize, cols: usize, value: f32, mut buf: Vec<f32>) -> Self {
+        let len = rows * cols;
+        if buf.capacity() != len {
+            drop(buf);
+            return Self::full(rows, cols, value);
+        }
+        buf.clear();
+        buf.resize(len, value);
+        Self {
+            rows,
+            cols,
+            data: buf,
+        }
+    }
+
+    /// A copy of `self` written into `buf`: [`Clone::clone`] with a given
+    /// buffer.
+    pub fn copy_into(&self, mut buf: Vec<f32>) -> Matrix {
+        refit(&mut buf, self.data.len());
+        buf.extend_from_slice(&self.data);
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: buf,
         }
     }
 
@@ -403,6 +484,11 @@ impl Matrix {
     /// # Panics
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        self.matmul_into(rhs, Vec::new())
+    }
+
+    /// [`Matrix::matmul`] written into `buf`.
+    pub fn matmul_into(&self, rhs: &Matrix, buf: Vec<f32>) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} · {}x{} has mismatched inner dims",
@@ -410,7 +496,7 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let (a, b) = (&self.data, &rhs.data);
-        run_product(m, n, m * k * n, |out| {
+        run_product(m, n, m * k * n, buf, |out| {
             product_block(Lhs::Rows(a, k), k, b, n, out)
         })
     }
@@ -421,6 +507,11 @@ impl Matrix {
     /// # Panics
     /// Panics if the row counts disagree.
     pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
+        self.transpose_matmul_into(rhs, Vec::new())
+    }
+
+    /// [`Matrix::transpose_matmul`] written into `buf`.
+    pub fn transpose_matmul_into(&self, rhs: &Matrix, buf: Vec<f32>) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
             "transpose_matmul: ({}x{})ᵀ · {}x{} has mismatched inner dims",
@@ -428,7 +519,7 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         let (a, b) = (&self.data, &rhs.data);
-        run_product(k, n, m * k * n, |out| {
+        run_product(k, n, m * k * n, buf, |out| {
             product_block(Lhs::Cols(a, k), m, b, n, out)
         })
     }
@@ -492,7 +583,13 @@ impl Matrix {
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(Vec::new())
+    }
+
+    /// [`Matrix::transpose`] written into `buf`.
+    pub fn transpose_into(&self, buf: Vec<f32>) -> Matrix {
+        let data = overwritable(buf, self.data.len());
+        let mut out = Matrix::from_vec(self.cols, self.rows, data);
         for r in 0..self.rows {
             for c in 0..self.cols {
                 out.data[c * self.rows + r] = self.data[r * self.cols + c];
@@ -503,10 +600,17 @@ impl Matrix {
 
     /// Elementwise map into a fresh matrix.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
+        self.map_into(f, Vec::new())
+    }
+
+    /// [`Matrix::map`] written into `buf`.
+    pub fn map_into(&self, f: impl Fn(f32) -> f32, mut buf: Vec<f32>) -> Matrix {
+        refit(&mut buf, self.data.len());
+        buf.extend(self.data.iter().map(|&x| f(x)));
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data: buf,
         }
     }
 
@@ -519,16 +623,23 @@ impl Matrix {
 
     /// Elementwise combine with another matrix of the same shape.
     pub fn zip(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        self.zip_into(rhs, f, Vec::new())
+    }
+
+    /// [`Matrix::zip`] written into `buf`.
+    pub fn zip_into(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32, mut buf: Vec<f32>) -> Matrix {
         assert_eq!(self.shape(), rhs.shape(), "zip: shape mismatch");
+        refit(&mut buf, self.data.len());
+        buf.extend(
+            self.data
+                .iter()
+                .zip(rhs.data.iter())
+                .map(|(&a, &b)| f(a, b)),
+        );
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data: buf,
         }
     }
 
@@ -617,10 +728,15 @@ impl Matrix {
 
     /// Vertically stacks `mats` (all must share `cols`).
     pub fn vstack(mats: &[&Matrix]) -> Matrix {
+        Matrix::vstack_into(mats, Vec::new())
+    }
+
+    /// [`Matrix::vstack`] written into `buf`.
+    pub fn vstack_into(mats: &[&Matrix], mut data: Vec<f32>) -> Matrix {
         assert!(!mats.is_empty(), "vstack: empty input");
         let cols = mats[0].cols;
         let rows: usize = mats.iter().map(|m| m.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
+        refit(&mut data, rows * cols);
         for m in mats {
             assert_eq!(m.cols, cols, "vstack: column mismatch");
             data.extend_from_slice(&m.data);
@@ -630,9 +746,14 @@ impl Matrix {
 
     /// Horizontally concatenates two matrices with the same number of rows.
     pub fn hcat(&self, rhs: &Matrix) -> Matrix {
+        self.hcat_into(rhs, Vec::new())
+    }
+
+    /// [`Matrix::hcat`] written into `buf`.
+    pub fn hcat_into(&self, rhs: &Matrix, mut data: Vec<f32>) -> Matrix {
         assert_eq!(self.rows, rhs.rows, "hcat: row mismatch");
         let cols = self.cols + rhs.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
+        refit(&mut data, self.rows * cols);
         for r in 0..self.rows {
             data.extend_from_slice(self.row(r));
             data.extend_from_slice(rhs.row(r));
@@ -646,7 +767,12 @@ impl Matrix {
 
     /// Gathers the listed rows into a fresh matrix (rows may repeat).
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        self.gather_rows_into(indices, Vec::new())
+    }
+
+    /// [`Matrix::gather_rows`] written into `buf`.
+    pub fn gather_rows_into(&self, indices: &[usize], mut data: Vec<f32>) -> Matrix {
+        refit(&mut data, indices.len() * self.cols);
         for &i in indices {
             assert!(i < self.rows, "gather_rows: row {} out of {}", i, self.rows);
             data.extend_from_slice(self.row(i));
@@ -794,12 +920,13 @@ mod tests {
         kernels
     }
 
-    /// `a · b` and `atᵀ · b` by `kernel`, where `at` is `aᵀ`.
+    /// `a · b` and `atᵀ · b` by `kernel`, where `at` is `aᵀ`, each written
+    /// over stale NaNs: the kernel must overwrite every element.
     fn products_by(kernel: Kernel, a: &Matrix, at: &Matrix, b: &Matrix) -> [Matrix; 2] {
         let (m, k, n) = (a.rows, a.cols, b.cols);
-        let mut ab = Matrix::zeros(m, n);
+        let mut ab = Matrix::full(m, n, f32::NAN);
         kernel(Lhs::Rows(&a.data, k), k, &b.data, n, &mut ab.data);
-        let mut atb = Matrix::zeros(m, n);
+        let mut atb = Matrix::full(m, n, f32::NAN);
         kernel(Lhs::Cols(&at.data, m), k, &b.data, n, &mut atb.data);
         [ab, atb]
     }

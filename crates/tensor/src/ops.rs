@@ -8,8 +8,8 @@
 //! place where the finite-difference tests in `tests` can cover them
 //! exhaustively.
 
-use crate::matrix::{axpy, Matrix};
-use crate::tape::Var;
+use crate::matrix::{axpy, refit, Matrix};
+use crate::tape::{FreeList, Var};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -107,84 +107,101 @@ mod recorded {
         /// reads.
         const RECORDS: bool;
 
+        /// The buffer the next variable's value is written into: on a
+        /// tape the one that variable's slot held in the previous
+        /// recording, on a forward-only evaluator an empty `Vec`, so the
+        /// op allocates its value as a fresh matrix would.
+        fn buffer(&mut self) -> Vec<f32>;
+
+        /// A buffer for an op's scratch matrix of `len` values, handed
+        /// back with [`Record::release`] once the op is done with it.
+        fn scratch(&mut self, len: usize) -> Vec<f32>;
+
+        /// Takes back a buffer from [`Record::scratch`].
+        fn release(&mut self, buf: Vec<f32>);
+
         /// Stores `value` as a new variable. A recording evaluator also
         /// keeps `op()`; a forward-only one never builds it.
         fn push(&mut self, value: Matrix, op: impl FnOnce() -> Op) -> Var;
     }
 }
 
-/// Transposed leaf values for the `MatMul` rule `dA = G · Bᵀ`, built once
-/// per reverse pass: a mounted weight feeds many products (one per
-/// neighbour row), and each would otherwise copy it into a fresh transpose.
-pub(crate) struct LeafTransposes<'t> {
-    ops: &'t [Op],
-    cache: HashMap<Var, Matrix>,
+/// The reverse pass in progress: the recording it runs over, the gradient
+/// slots, and the tape's free list, from which every delta, gradient and
+/// scratch transpose takes its buffer and to which each goes back once
+/// spent.
+pub(crate) struct Sweep<'t> {
+    pub(crate) values: &'t [Matrix],
+    pub(crate) ops: &'t [Op],
+    pub(crate) grads: &'t mut [Option<Matrix>],
+    pub(crate) free: &'t mut FreeList,
+    /// Transposed leaf values for the `MatMul` rule `dA = G · Bᵀ`, built
+    /// once per pass: a mounted weight feeds many products (one per
+    /// neighbour row), and each would otherwise copy it into a fresh
+    /// transpose.
+    pub(crate) transposes: &'t mut HashMap<Var, Matrix>,
 }
 
-impl<'t> LeafTransposes<'t> {
-    pub(crate) fn new(ops: &'t [Op]) -> Self {
-        Self {
-            ops,
-            cache: HashMap::new(),
+impl<'t> Sweep<'t> {
+    /// Forward value of `var`.
+    fn value(&self, var: Var) -> &'t Matrix {
+        &self.values[var.index()]
+    }
+
+    /// A buffer for a delta of `len` values.
+    fn buf(&mut self, len: usize) -> Vec<f32> {
+        self.free.take(len)
+    }
+
+    /// Accumulates `delta` into the gradient slot for `var`, taking
+    /// ownership on first touch and otherwise handing its buffer back.
+    /// `delta` must have the value shape of `var`.
+    fn acc(&mut self, var: Var, delta: Matrix) {
+        match &mut self.grads[var.index()] {
+            Some(g) => {
+                g.add_assign(&delta);
+                self.free.give(delta.into_data());
+            }
+            slot @ None => *slot = Some(delta),
         }
     }
 
-    /// `values[var]ᵀ` if `var` is a leaf; `None` for an op output.
-    fn get(&mut self, values: &[Matrix], var: Var) -> Option<&Matrix> {
-        if !matches!(self.ops[var.index()], Op::Leaf) {
-            return None;
+    /// [`Sweep::acc`] from a borrowed `delta`: copied only into an empty
+    /// slot.
+    fn acc_ref(&mut self, var: Var, delta: &Matrix) {
+        match &mut self.grads[var.index()] {
+            Some(g) => g.add_assign(delta),
+            slot @ None => *slot = Some(delta.copy_into(self.free.take(delta.len()))),
         }
-        Some(
-            self.cache
-                .entry(var)
-                .or_insert_with(|| values[var.index()].transpose()),
-        )
     }
-}
 
-/// Accumulates `delta` into the gradient slot for `var`, taking ownership
-/// on first touch. `delta` must have the value shape of `var`.
-fn acc(grads: &mut [Option<Matrix>], var: Var, delta: Matrix) {
-    match &mut grads[var.index()] {
-        Some(g) => g.add_assign(&delta),
-        slot @ None => *slot = Some(delta),
-    }
-}
-
-/// [`acc`] from a borrowed `delta`: cloned only into an empty slot.
-fn acc_ref(grads: &mut [Option<Matrix>], var: Var, delta: &Matrix) {
-    match &mut grads[var.index()] {
-        Some(g) => g.add_assign(delta),
-        slot @ None => *slot = Some(delta.clone()),
-    }
-}
-
-/// [`acc`] of the block `src[rows, cols]`, read in place and copied only
-/// into an empty slot.
-fn acc_block(
-    grads: &mut [Option<Matrix>],
-    var: Var,
-    src: &Matrix,
-    rows: Range<usize>,
-    cols: Range<usize>,
-) {
-    let slot = &mut grads[var.index()];
-    match slot {
-        Some(g) => {
-            for (dst_r, r) in rows.enumerate() {
-                for (d, &x) in g.row_mut(dst_r).iter_mut().zip(&src.row(r)[cols.clone()]) {
-                    *d += x;
+    /// [`Sweep::acc`] of the block `src[rows, cols]`, read in place and
+    /// copied only into an empty slot.
+    fn acc_block(&mut self, var: Var, src: &Matrix, rows: Range<usize>, cols: Range<usize>) {
+        let slot = &mut self.grads[var.index()];
+        match slot {
+            Some(g) => {
+                for (dst_r, r) in rows.enumerate() {
+                    for (d, &x) in g.row_mut(dst_r).iter_mut().zip(&src.row(r)[cols.clone()]) {
+                        *d += x;
+                    }
                 }
             }
-        }
-        None => {
-            let (n_rows, n_cols) = (rows.len(), cols.len());
-            let mut data = Vec::with_capacity(n_rows * n_cols);
-            for r in rows {
-                data.extend_from_slice(&src.row(r)[cols.clone()]);
+            None => {
+                let (n_rows, n_cols) = (rows.len(), cols.len());
+                let mut data = self.free.take(n_rows * n_cols);
+                refit(&mut data, n_rows * n_cols);
+                for r in rows {
+                    data.extend_from_slice(&src.row(r)[cols.clone()]);
+                }
+                *slot = Some(Matrix::from_vec(n_rows, n_cols, data));
             }
-            *slot = Some(Matrix::from_vec(n_rows, n_cols, data));
         }
+    }
+
+    /// A zeroed matrix of `like`'s shape.
+    fn zeros_like(&mut self, like: &Matrix) -> Matrix {
+        Matrix::full_into(like.rows(), like.cols(), 0.0, self.buf(like.len()))
     }
 }
 
@@ -225,26 +242,31 @@ fn scatter_add_rows(g: &mut Matrix, indices: &[usize], out_grad: &Matrix) {
 
 /// The `MatMul` rule for `a·b`: `dA = G·Bᵀ` (a leaf `B`'s transpose built
 /// once per pass) and `dB = Aᵀ·G`.
-fn matmul_backward(
-    values: &[Matrix],
-    a: Var,
-    b: Var,
-    out_grad: &Matrix,
-    grads: &mut [Option<Matrix>],
-    transposes: &mut LeafTransposes,
-) {
-    let da = match transposes.get(values, b) {
-        Some(bt) => out_grad.matmul(bt),
-        None => out_grad.matmul(&values[b.index()].transpose()),
+fn matmul_backward(s: &mut Sweep, a: Var, b: Var, out_grad: &Matrix) {
+    let (va, vb) = (s.value(a), s.value(b));
+    let da_buf = s.buf(out_grad.rows() * vb.rows());
+    let da = if matches!(s.ops[b.index()], Op::Leaf) {
+        let free = &mut *s.free;
+        let bt = s
+            .transposes
+            .entry(b)
+            .or_insert_with(|| vb.transpose_into(free.take(vb.len())));
+        out_grad.matmul_into(bt, da_buf)
+    } else {
+        let bt = vb.transpose_into(s.buf(vb.len()));
+        let da = out_grad.matmul_into(&bt, da_buf);
+        s.free.give(bt.into_data());
+        da
     };
-    acc(grads, a, da);
-    acc(grads, b, values[a.index()].transpose_matmul(out_grad));
+    s.acc(a, da);
+    let db_buf = s.buf(va.cols() * out_grad.cols());
+    s.acc(b, va.transpose_matmul_into(out_grad, db_buf));
 }
 
-/// Column sums of `g`, shaped `1×n`: the gradient of a bias row broadcast
-/// over `g`'s rows.
-fn column_sums(g: &Matrix) -> Matrix {
-    let mut db = Matrix::zeros(1, g.cols());
+/// Column sums of `g`, shaped `1×n`, written into `buf`: the gradient of
+/// a bias row broadcast over `g`'s rows.
+fn column_sums(g: &Matrix, buf: Vec<f32>) -> Matrix {
+    let mut db = Matrix::full_into(1, g.cols(), 0.0, buf);
     for r in 0..g.rows() {
         for c in 0..g.cols() {
             db.data_mut()[c] += g.get(r, c);
@@ -256,103 +278,95 @@ fn column_sums(g: &Matrix) -> Matrix {
 impl Op {
     /// Propagates `out_grad` (gradient of the loss w.r.t. this node's value)
     /// into the parents' gradient slots.
-    pub(crate) fn backward(
-        &self,
-        values: &[Matrix],
-        out_value: &Matrix,
-        out_grad: &Matrix,
-        grads: &mut [Option<Matrix>],
-        transposes: &mut LeafTransposes,
-    ) {
+    pub(crate) fn backward(&self, s: &mut Sweep, out_value: &Matrix, out_grad: &Matrix) {
+        let n = out_grad.len();
         match self {
             Op::Leaf => {}
-            Op::MatMul(a, b) => matmul_backward(values, *a, *b, out_grad, grads, transposes),
+            Op::MatMul(a, b) => matmul_backward(s, *a, *b, out_grad),
             Op::Affine(x, w, b) => {
                 // The bias rule, then the product's, in the order the
                 // unfused `add_broadcast_row_in_place(matmul(x, w), b)` ran them.
-                acc(grads, *b, column_sums(out_grad));
-                matmul_backward(values, *x, *w, out_grad, grads, transposes);
+                let db = column_sums(out_grad, s.buf(out_grad.cols()));
+                s.acc(*b, db);
+                matmul_backward(s, *x, *w, out_grad);
             }
             Op::Add(a, b) => {
-                acc_ref(grads, *a, out_grad);
-                acc_ref(grads, *b, out_grad);
+                s.acc_ref(*a, out_grad);
+                s.acc_ref(*b, out_grad);
             }
             Op::AddBroadcastRow(a, b) => {
-                acc_ref(grads, *a, out_grad);
-                acc(grads, *b, column_sums(out_grad));
+                s.acc_ref(*a, out_grad);
+                let db = column_sums(out_grad, s.buf(out_grad.cols()));
+                s.acc(*b, db);
             }
             Op::Sub(a, b) => {
-                acc(grads, *a, out_grad.clone());
-                acc(grads, *b, out_grad.map(|x| -x));
+                s.acc_ref(*a, out_grad);
+                let db = out_grad.map_into(|x| -x, s.buf(n));
+                s.acc(*b, db);
             }
             Op::Mul(a, b) => {
-                let va = &values[a.index()];
-                let vb = &values[b.index()];
-                acc(grads, *a, out_grad.zip(vb, |g, y| g * y));
-                acc(grads, *b, out_grad.zip(va, |g, x| g * x));
+                let (va, vb) = (s.value(*a), s.value(*b));
+                let da = out_grad.zip_into(vb, |g, y| g * y, s.buf(n));
+                s.acc(*a, da);
+                let db = out_grad.zip_into(va, |g, x| g * x, s.buf(n));
+                s.acc(*b, db);
             }
-            Op::Scale(a, s) => {
-                let s = *s;
-                acc(grads, *a, out_grad.map(|g| g * s));
+            Op::Scale(a, k) => {
+                let k = *k;
+                let da = out_grad.map_into(|g| g * k, s.buf(n));
+                s.acc(*a, da);
             }
-            Op::AddScalar(a, _) => {
-                acc_ref(grads, *a, out_grad);
-            }
+            Op::AddScalar(a, _) => s.acc_ref(*a, out_grad),
             Op::Sigmoid(a) => {
-                acc(grads, *a, out_grad.zip(out_value, |g, y| g * y * (1.0 - y)));
+                let da = out_grad.zip_into(out_value, |g, y| g * y * (1.0 - y), s.buf(n));
+                s.acc(*a, da);
             }
             Op::Tanh(a) => {
-                acc(grads, *a, out_grad.zip(out_value, |g, y| g * (1.0 - y * y)));
+                let da = out_grad.zip_into(out_value, |g, y| g * (1.0 - y * y), s.buf(n));
+                s.acc(*a, da);
             }
             Op::Relu(a) => {
-                let va = &values[a.index()];
-                acc(
-                    grads,
-                    *a,
-                    out_grad.zip(va, |g, x| if x > 0.0 { g } else { 0.0 }),
-                );
+                let va = s.value(*a);
+                let da = out_grad.zip_into(va, |g, x| if x > 0.0 { g } else { 0.0 }, s.buf(n));
+                s.acc(*a, da);
             }
             Op::Cos(a) => {
-                let va = &values[a.index()];
-                acc(grads, *a, out_grad.zip(va, |g, x| -g * x.sin()));
+                let va = s.value(*a);
+                let da = out_grad.zip_into(va, |g, x| -g * x.sin(), s.buf(n));
+                s.acc(*a, da);
             }
             Op::Sqrt(a) => {
-                acc(
-                    grads,
-                    *a,
-                    out_grad.zip(out_value, |g, y| g * 0.5 / y.max(SQRT_EPS)),
-                );
+                let da = out_grad.zip_into(out_value, |g, y| g * 0.5 / y.max(SQRT_EPS), s.buf(n));
+                s.acc(*a, da);
             }
             Op::ConcatCols(a, b) => {
-                let ca = values[a.index()].cols();
+                let ca = s.value(*a).cols();
                 let (rows, cols) = out_grad.shape();
-                acc_block(grads, *a, out_grad, 0..rows, 0..ca);
-                acc_block(grads, *b, out_grad, 0..rows, ca..cols);
+                s.acc_block(*a, out_grad, 0..rows, 0..ca);
+                s.acc_block(*b, out_grad, 0..rows, ca..cols);
             }
-            Op::GatherRows(a, indices) => match &mut grads[a.index()] {
+            Op::GatherRows(a, indices) => match &mut s.grads[a.index()] {
                 Some(g) => scatter_add_rows(g, indices, out_grad),
-                slot @ None => {
-                    let va = &values[a.index()];
-                    let mut da = Matrix::zeros(va.rows(), va.cols());
+                None => {
+                    let mut da = s.zeros_like(s.value(*a));
                     for (out_r, &src_r) in indices.iter().enumerate() {
                         for (d, &x) in da.row_mut(src_r).iter_mut().zip(out_grad.row(out_r)) {
                             *d += x;
                         }
                     }
-                    *slot = Some(da);
+                    s.grads[a.index()] = Some(da);
                 }
             },
             Op::StackRows(parts) => {
                 let mut start = 0;
                 for part in parts {
-                    let end = start + values[part.index()].rows();
-                    acc_block(grads, *part, out_grad, start..end, 0..out_grad.cols());
+                    let end = start + s.value(*part).rows();
+                    s.acc_block(*part, out_grad, start..end, 0..out_grad.cols());
                     start = end;
                 }
             }
             Op::MeanRows(a, segments) => {
-                let va = &values[a.index()];
-                let mut da = Matrix::zeros(va.rows(), va.cols());
+                let mut da = s.zeros_like(s.value(*a));
                 for (i, seg) in segments.iter().enumerate() {
                     let m = seg.len() as f32;
                     for r in seg.clone() {
@@ -361,24 +375,24 @@ impl Op {
                         }
                     }
                 }
-                acc(grads, *a, da);
+                s.acc(*a, da);
             }
             Op::MeanAll(a) => {
-                let va = &values[a.index()];
-                let n = va.len().max(1) as f32;
-                let g = out_grad.get(0, 0) / n;
-                acc(grads, *a, Matrix::full(va.rows(), va.cols(), g));
+                let va = s.value(*a);
+                let g = out_grad.get(0, 0) / va.len().max(1) as f32;
+                let da = Matrix::full_into(va.rows(), va.cols(), g, s.buf(va.len()));
+                s.acc(*a, da);
             }
             Op::SumAll(a) => {
-                let va = &values[a.index()];
-                let g = out_grad.get(0, 0);
-                acc(grads, *a, Matrix::full(va.rows(), va.cols(), g));
+                let va = s.value(*a);
+                let da =
+                    Matrix::full_into(va.rows(), va.cols(), out_grad.get(0, 0), s.buf(va.len()));
+                s.acc(*a, da);
             }
             Op::SqDistRows(a, b) => {
-                let va = &values[a.index()];
-                let vb = &values[b.index()];
-                let mut da = Matrix::zeros(va.rows(), va.cols());
-                let mut db = Matrix::zeros(vb.rows(), vb.cols());
+                let (va, vb) = (s.value(*a), s.value(*b));
+                let mut da = s.zeros_like(va);
+                let mut db = s.zeros_like(vb);
                 for r in 0..va.rows() {
                     let g = out_grad.get(r, 0);
                     let ra = va.row(r);
@@ -392,19 +406,21 @@ impl Op {
                         drb[c] = -2.0 * g * (ra[c] - rb[c]);
                     }
                 }
-                acc(grads, *a, da);
-                acc(grads, *b, db);
+                s.acc(*a, da);
+                s.acc(*b, db);
             }
             Op::Exp(a) => {
-                acc(grads, *a, out_grad.zip(out_value, |g, y| g * y));
+                let da = out_grad.zip_into(out_value, |g, y| g * y, s.buf(n));
+                s.acc(*a, da);
             }
             Op::Ln(a) => {
-                let va = &values[a.index()];
-                acc(grads, *a, out_grad.zip(va, |g, x| g / x.max(LN_EPS)));
+                let va = s.value(*a);
+                let da = out_grad.zip_into(va, |g, x| g / x.max(LN_EPS), s.buf(n));
+                s.acc(*a, da);
             }
             Op::MaxRows(a) => {
-                let va = &values[a.index()];
-                let mut da = Matrix::zeros(va.rows(), va.cols());
+                let va = s.value(*a);
+                let mut da = s.zeros_like(va);
                 for c in 0..va.cols() {
                     let mut best_r = 0;
                     for r in 1..va.rows() {
@@ -414,14 +430,13 @@ impl Op {
                     }
                     da.set(best_r, c, out_grad.get(0, c));
                 }
-                acc(grads, *a, da);
+                s.acc(*a, da);
             }
             Op::MulBroadcastRow(a, b) => {
-                let va = &values[a.index()];
-                let vb = &values[b.index()];
+                let (va, vb) = (s.value(*a), s.value(*b));
                 // da = g ∘ b broadcast over rows.
-                let mut da = Matrix::zeros(va.rows(), va.cols());
-                let mut db = Matrix::zeros(1, vb.cols());
+                let mut da = s.zeros_like(va);
+                let mut db = Matrix::full_into(1, vb.cols(), 0.0, s.buf(vb.cols()));
                 for r in 0..va.rows() {
                     for c in 0..va.cols() {
                         let g = out_grad.get(r, c);
@@ -429,15 +444,15 @@ impl Op {
                         db.data_mut()[c] += g * va.get(r, c);
                     }
                 }
-                acc(grads, *a, da);
-                acc(grads, *b, db);
+                s.acc(*a, da);
+                s.acc(*b, db);
             }
             Op::NormalizeRows(a, eps) => {
                 // With y = (x − μ)/σ per row:
                 // dx = (1/σ)·(g − mean(g) − y·mean(g ∘ y)).
-                let va = &values[a.index()];
+                let va = s.value(*a);
                 let n = va.cols().max(1) as f32;
-                let mut da = Matrix::zeros(va.rows(), va.cols());
+                let mut da = s.zeros_like(va);
                 for r in 0..va.rows() {
                     let x = va.row(r);
                     let y = out_value.row(r);
@@ -457,15 +472,14 @@ impl Op {
                         dst[c] = (g[c] - g_mean - y[c] * gy_mean) / sigma;
                     }
                 }
-                acc(grads, *a, da);
+                s.acc(*a, da);
             }
             Op::BceWithLogits { logits, targets } => {
-                let x = &values[logits.index()];
-                let n = x.len().max(1) as f32;
-                let g = out_grad.get(0, 0) / n;
+                let x = s.value(*logits);
+                let g = out_grad.get(0, 0) / x.len().max(1) as f32;
                 // d/dx mean BCE = (σ(x) - y) / n.
-                let dx = x.zip(targets, |xi, yi| g * (sigmoid(xi) - yi));
-                acc(grads, *logits, dx);
+                let dx = x.zip_into(targets, |xi, yi| g * (sigmoid(xi) - yi), s.buf(x.len()));
+                s.acc(*logits, dx);
             }
             Op::SegmentAttention {
                 q,
@@ -475,23 +489,26 @@ impl Op {
                 scale,
                 weights,
             } => {
-                let (vq, vk, vv) = (&values[q.index()], &values[k.index()], &values[v.index()]);
-                let [dq, dk, dv] =
-                    segment_attention_backward(vq, vk, vv, segments, *scale, weights, out_grad);
+                let (vq, vk, vv) = (s.value(*q), s.value(*k), s.value(*v));
+                let bufs = [vq, vk, vv].map(|x| s.buf(x.len()));
+                let [dq, dk, dv] = segment_attention_backward(
+                    vq, vk, vv, segments, *scale, weights, out_grad, bufs,
+                );
                 // The four products' flops, as the forward counts its two.
                 cpdg_obs::counter!("matmul.flops")
                     .add(4 * (weights.len() * (vq.cols() + vv.cols())) as u64);
-                acc(grads, *q, dq);
-                acc(grads, *k, dk);
-                acc(grads, *v, dv);
+                s.acc(*q, dq);
+                s.acc(*k, dk);
+                s.acc(*v, dv);
             }
         }
     }
 }
 
 /// `[dQ, dK, dV]` of [`Op::SegmentAttention`] for the incoming gradient
-/// `out_grad`, running the AVX2 instance of
+/// `out_grad`, written into `bufs`, running the AVX2 instance of
 /// [`segment_attention_backward_body`] where the CPU has AVX2.
+#[allow(clippy::too_many_arguments)]
 fn segment_attention_backward(
     q: &Matrix,
     k: &Matrix,
@@ -500,21 +517,23 @@ fn segment_attention_backward(
     scale: f32,
     weights: &[f32],
     out_grad: &Matrix,
+    bufs: [Vec<f32>; 3],
 ) -> [Matrix; 3] {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the CPU supports AVX2, as checked on the line above.
         return unsafe {
-            segment_attention_backward_avx2(q, k, v, segments, scale, weights, out_grad)
+            segment_attention_backward_avx2(q, k, v, segments, scale, weights, out_grad, bufs)
         };
     }
-    segment_attention_backward_body(q, k, v, segments, scale, weights, out_grad)
+    segment_attention_backward_body(q, k, v, segments, scale, weights, out_grad, bufs)
 }
 
 /// [`segment_attention_backward_body`] compiled for AVX2: the same
 /// operations in the same order, with no FMA, so the same bits.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
 fn segment_attention_backward_avx2(
     q: &Matrix,
     k: &Matrix,
@@ -523,14 +542,16 @@ fn segment_attention_backward_avx2(
     scale: f32,
     weights: &[f32],
     out_grad: &Matrix,
+    bufs: [Vec<f32>; 3],
 ) -> [Matrix; 3] {
-    segment_attention_backward_body(q, k, v, segments, scale, weights, out_grad)
+    segment_attention_backward_body(q, k, v, segments, scale, weights, out_grad, bufs)
 }
 
 /// The segmented-attention backward, inlined into each instance: `dV`,
 /// the softmax VJP (times the score scale), `dQ` and `dK`, each added in
 /// place into one output-sized matrix, with one scratch row for the pass.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn segment_attention_backward_body(
     q: &Matrix,
     k: &Matrix,
@@ -539,8 +560,10 @@ fn segment_attention_backward_body(
     scale: f32,
     weights: &[f32],
     out_grad: &Matrix,
+    [bq, bk, bv]: [Vec<f32>; 3],
 ) -> [Matrix; 3] {
-    let [mut dq, mut dk, mut dv] = [q, k, v].map(|x| Matrix::zeros(x.rows(), x.cols()));
+    let zeros = |x: &Matrix, buf| Matrix::full_into(x.rows(), x.cols(), 0.0, buf);
+    let (mut dq, mut dk, mut dv) = (zeros(q, bq), zeros(k, bk), zeros(v, bv));
     let longest = segments.iter().map(|seg| seg.len()).max().unwrap_or(0);
     let mut dscore = vec![0.0f32; longest];
     let mut offset = 0;
@@ -574,8 +597,9 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// Forward of [`Op::SegmentAttention`] on plain values: row `i` of `q`
-/// scores rows `segments[i]` of `k` (`vec_matmul_block_into` over `kᵀ`),
+/// Forward of [`Op::SegmentAttention`] on plain values, the keys given
+/// transposed (`kt` is `kᵀ`) and the mix written into `out`: row `i` of
+/// `q` scores rows `segments[i]` of `k` (`vec_matmul_block_into` over `kᵀ`),
 /// scales by `scale`, takes the softmax and mixes the same rows of `v`
 /// into output row `i`. Returns the `segments.len() × v.cols()` mix and,
 /// when `keep_weights` is set, the softmax weights of every segment,
@@ -589,11 +613,12 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// per row of `q`.
 pub(crate) fn segment_attention(
     q: &Matrix,
-    k: &Matrix,
+    kt: &Matrix,
     v: &Matrix,
     segments: &[Range<usize>],
     scale: f32,
     keep_weights: bool,
+    out: Vec<f32>,
 ) -> (Matrix, Vec<f32>) {
     assert_eq!(
         q.rows(),
@@ -602,16 +627,15 @@ pub(crate) fn segment_attention(
     );
     assert_eq!(
         q.cols(),
-        k.cols(),
+        kt.rows(),
         "segment_attention: query and key widths differ"
     );
     assert_eq!(
-        k.rows(),
+        kt.cols(),
         v.rows(),
         "segment_attention: keys and values differ in rows"
     );
-    let kt = k.transpose();
-    let mut mixed = Matrix::zeros(segments.len(), v.cols());
+    let mut mixed = Matrix::full_into(segments.len(), v.cols(), 0.0, out);
     let mut weights = Vec::with_capacity(if keep_weights {
         segments.iter().map(|seg| seg.len()).sum()
     } else {
@@ -749,6 +773,26 @@ mod tests {
         }
     }
 
+    /// [`segment_attention`] over untransposed keys, into a fresh matrix.
+    fn attend(
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        segments: &[Range<usize>],
+        scale: f32,
+        keep_weights: bool,
+    ) -> (Matrix, Vec<f32>) {
+        segment_attention(
+            q,
+            &k.transpose(),
+            v,
+            segments,
+            scale,
+            keep_weights,
+            Vec::new(),
+        )
+    }
+
     /// The segmented-attention backward as scalar index loops, each
     /// element summed in the order of the kernels' row updates.
     fn segment_attention_backward_reference(
@@ -789,8 +833,16 @@ mod tests {
 
     #[test]
     fn segment_attention_gradients_match_the_reference_bit_for_bit() {
-        type Backward =
-            fn(&Matrix, &Matrix, &Matrix, &[Range<usize>], f32, &[f32], &Matrix) -> [Matrix; 3];
+        type Backward = fn(
+            &Matrix,
+            &Matrix,
+            &Matrix,
+            &[Range<usize>],
+            f32,
+            &[f32],
+            &Matrix,
+            [Vec<f32>; 3],
+        ) -> [Matrix; 3];
         let mut instances: Vec<(&str, Backward)> =
             vec![("portable", segment_attention_backward_body)];
         if crate::matrix::avx2_instance_runs(
@@ -806,12 +858,21 @@ mod tests {
             let q = spread_matrix(segments.len(), qk_width, seed + 1);
             let k = spread_matrix(9, qk_width, seed + 2);
             let v = spread_matrix(9, v_width, seed + 3);
-            let (_, weights) = segment_attention(&q, &k, &v, &segments, 0.25, true);
+            let (_, weights) = attend(&q, &k, &v, &segments, 0.25, true);
             let g = spread_matrix(segments.len(), v_width, seed + 4);
             let want =
                 segment_attention_backward_reference(&q, &k, &v, &segments, 0.25, &weights, &g);
             for &(name, backward) in &instances {
-                let got = backward(&q, &k, &v, &segments, 0.25, &weights, &g);
+                let got = backward(
+                    &q,
+                    &k,
+                    &v,
+                    &segments,
+                    0.25,
+                    &weights,
+                    &g,
+                    Default::default(),
+                );
                 for (part, (got, want)) in ["dQ", "dK", "dV"].iter().zip(got.iter().zip(&want)) {
                     let (got, want): (Vec<u32>, Vec<u32>) = (
                         got.data().iter().map(|x| x.to_bits()).collect(),
@@ -829,8 +890,8 @@ mod tests {
         let q = spread_matrix(segments.len(), 8, 51);
         let k = spread_matrix(9, 8, 52);
         let v = spread_matrix(9, 11, 53);
-        let (kept, weights) = segment_attention(&q, &k, &v, &segments, 0.35, true);
-        let (dropped, none) = segment_attention(&q, &k, &v, &segments, 0.35, false);
+        let (kept, weights) = attend(&q, &k, &v, &segments, 0.35, true);
+        let (dropped, none) = attend(&q, &k, &v, &segments, 0.35, false);
         let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&kept), bits(&dropped));
         assert_eq!(weights.len(), 3 + 7 + 1 + 9 + 2);

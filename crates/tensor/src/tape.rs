@@ -3,11 +3,31 @@
 //! A [`Tape`] records one forward pass; variables are indices into the
 //! arena ([`Var`]), so tape construction is allocation-light and the reverse
 //! pass is a single backwards sweep over a `Vec` — no reference counting, no
-//! interior mutability. A fresh tape is built for every mini-batch and
-//! dropped afterwards; parameters persist in a [`ParamStore`] and are
+//! interior mutability. Parameters persist in a [`ParamStore`] and are
 //! *mounted* onto the tape with [`Forward::param`]. The ops themselves are
 //! the provided methods of [`Forward`], shared with the forward-only
 //! [`Eval`](crate::Eval).
+//!
+//! ## One tape per training loop
+//!
+//! A training loop builds one tape and calls [`Tape::reset`] at the top of
+//! every step. Reset forgets the recording but keeps its buffers: each op
+//! of the next recording writes its value into the buffer its variable
+//! slot held in the previous one, and the reverse pass takes every
+//! gradient, delta and scratch transpose from a free list the tape owns,
+//! to which [`Tape::recycle`] hands a finished pass's gradients back. A
+//! step of the same shape as the last therefore writes every value into a
+//! buffer the tape already holds, and takes most of its gradients from
+//! the free list. The arithmetic is the fresh tape's, only the buffers
+//! differ, so every value and gradient is bit-identical.
+//!
+//! Reuse does not raise the peak heap. Every buffer an op writes has
+//! exactly the capacity it asks for: a slot buffer that does not is freed
+//! and replaced, the old freed first. The free list hands out the
+//! smallest idle buffer that holds a request, shrunk to it; when none
+//! does, it gives idle buffers back, the largest first, until they free
+//! at least the request. The slot buffers a recording does not reach are
+//! dropped when its reverse pass starts.
 //!
 //! ```
 //! use cpdg_tensor::{Forward, Matrix, ParamStore, Tape};
@@ -16,19 +36,23 @@
 //! let w = store.register("w", Matrix::from_rows(&[&[0.5], &[-0.25]]));
 //!
 //! let mut tape = Tape::new();
-//! let x = tape.constant(Matrix::from_rows(&[&[1.0, 2.0]]));
-//! let wv = tape.param(&store, w);
-//! let y = tape.matmul(x, wv);           // 1x1
-//! let loss = tape.mean_all(y);
-//! let grads = tape.backward(loss);
-//! assert!(grads.get(wv).is_some());
+//! for _ in 0..2 {
+//!     tape.reset();
+//!     let x = tape.constant(Matrix::from_rows(&[&[1.0, 2.0]]));
+//!     let wv = tape.param(&store, w);
+//!     let y = tape.matmul(x, wv);           // 1x1
+//!     let loss = tape.mean_all(y);
+//!     let grads = tape.backward(loss);
+//!     assert!(grads.get(wv).is_some());
+//!     tape.recycle(grads);
+//! }
 //! ```
 
 use crate::forward::Forward;
 use crate::matrix::Matrix;
-use crate::ops::{LeafTransposes, Op, Record};
+use crate::ops::{Op, Record, Sweep};
 use crate::param::{ParamId, ParamStore};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Handle to a value on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,6 +82,54 @@ impl Gradients {
     }
 }
 
+/// Idle value buffers, keyed by capacity and then newest first: among
+/// equal capacities the most recently freed is the likeliest in cache.
+#[derive(Debug, Default)]
+pub(crate) struct FreeList {
+    bufs: BTreeMap<(usize, usize), Vec<f32>>,
+    given: usize,
+}
+
+impl FreeList {
+    /// A buffer of capacity exactly `len`: the smallest idle buffer that
+    /// holds `len`, shrunk in place if it holds more. When none does, idle
+    /// buffers are given back to the allocator, the largest first, until
+    /// they free at least `len` or none is left, so the new allocation
+    /// does not lift the bytes the list and its handed-out buffers hold
+    /// above the most they have held in use at once.
+    pub(crate) fn take(&mut self, len: usize) -> Vec<f32> {
+        self.fitting(len).unwrap_or_else(|| {
+            let mut freed = 0;
+            while freed < len {
+                let Some((_, buf)) = self.bufs.pop_last() else {
+                    break;
+                };
+                freed += buf.capacity();
+            }
+            Vec::new()
+        })
+    }
+
+    /// The smallest idle buffer that holds `len`, shrunk to capacity
+    /// exactly `len`.
+    fn fitting(&mut self, len: usize) -> Option<Vec<f32>> {
+        let (&key, _) = self.bufs.range((len, 0)..).next()?;
+        let mut buf = self.bufs.remove(&key).expect("a listed key");
+        buf.truncate(len);
+        buf.shrink_to(len);
+        Some(buf)
+    }
+
+    /// Keeps `buf` for a later [`FreeList::take`].
+    pub(crate) fn give(&mut self, buf: Vec<f32>) {
+        if buf.capacity() > 0 {
+            self.given += 1;
+            self.bufs
+                .insert((buf.capacity(), usize::MAX - self.given), buf);
+        }
+    }
+}
+
 /// One recorded forward pass: the [`Forward`] evaluator of training.
 #[derive(Debug, Default)]
 pub struct Tape {
@@ -66,12 +138,34 @@ pub struct Tape {
     /// ParamId → mounted Var, so mounting the same parameter twice reuses
     /// one node and its gradient accumulates correctly.
     mounts: HashMap<ParamId, Var>,
+    /// The previous recording's value buffers by variable slot, each taken
+    /// by the op that writes that slot in this recording.
+    spare: Vec<Vec<f32>>,
+    /// Buffers for the reverse pass's gradients and deltas.
+    free: FreeList,
+    /// The gradient slots of the last pass handed back by
+    /// [`Tape::recycle`], kept for the next.
+    slots: Vec<Option<Matrix>>,
+    /// Leaf transposes of the pass in progress.
+    transposes: HashMap<Var, Matrix>,
 }
 
 impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Clears the recording for the next step, keeping its buffers: the
+    /// value each variable slot held becomes the buffer the next
+    /// recording's op at that slot writes into. Variables of the cleared
+    /// recording must not be used afterwards.
+    pub fn reset(&mut self) {
+        self.ops.clear();
+        self.mounts.clear();
+        self.spare.clear();
+        self.spare
+            .extend(self.values.drain(..).map(Matrix::into_data));
     }
 
     /// Forward value of a variable.
@@ -86,29 +180,39 @@ impl Tape {
 
     /// Runs the reverse pass from `loss` (must be `1×1`) and returns the
     /// gradients of the leaves (constants and mounted parameters). An op
-    /// output's gradient is dropped once it has been propagated to its
-    /// parents. The tape itself is unchanged and can be queried afterwards.
-    pub fn backward(&self, loss: Var) -> Gradients {
+    /// output's gradient is handed back to the tape once it has been
+    /// propagated to its parents. The recording is unchanged and can be
+    /// queried afterwards; the slot buffers it did not reuse are dropped.
+    pub fn backward(&mut self, loss: Var) -> Gradients {
         assert_eq!(
             self.values[loss.0].shape(),
             (1, 1),
             "backward: loss must be a 1×1 scalar"
         );
-        let mut grads: Vec<Option<Matrix>> = vec![None; self.values.len()];
-        grads[loss.0] = Some(Matrix::ones(1, 1));
-        let mut transposes = LeafTransposes::new(&self.ops);
+        self.spare.clear();
+        let mut grads = std::mem::take(&mut self.slots);
+        grads.reserve_exact(self.values.len());
+        grads.resize_with(self.values.len(), || None);
+        grads[loss.0] = Some(Matrix::full_into(1, 1, 1.0, self.free.take(1)));
+        let mut sweep = Sweep {
+            values: &self.values,
+            ops: &self.ops,
+            grads: &mut grads,
+            free: &mut self.free,
+            transposes: &mut self.transposes,
+        };
         for (i, op) in self.ops.iter().enumerate().rev() {
             if matches!(op, Op::Leaf) {
                 continue;
             }
-            let Some(g) = grads[i].take() else { continue };
-            op.backward(
-                &self.values,
-                &self.values[i],
-                &g,
-                &mut grads,
-                &mut transposes,
-            );
+            let Some(g) = sweep.grads[i].take() else {
+                continue;
+            };
+            op.backward(&mut sweep, &self.values[i], &g);
+            sweep.free.give(g.into_data());
+        }
+        for (_, t) in self.transposes.drain() {
+            self.free.give(t.into_data());
         }
         Gradients { grads }
     }
@@ -125,13 +229,45 @@ impl Tape {
         out.sort_by_key(|(id, _)| id.index());
         out
     }
+
+    /// Hands the buffers of a finished pass's `grads` back to the tape,
+    /// for the next [`Tape::backward`].
+    pub fn recycle(&mut self, grads: Gradients) {
+        let mut slots = grads.grads;
+        for g in slots.drain(..).flatten() {
+            self.free.give(g.into_data());
+        }
+        self.slots = slots;
+    }
 }
 
 impl Record for Tape {
     const RECORDS: bool = true;
 
+    /// The buffer this slot held in the previous recording.
+    fn buffer(&mut self) -> Vec<f32> {
+        self.spare
+            .get_mut(self.values.len())
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// A fitting idle buffer, else a new one. The idle buffers are kept
+    /// for the reverse pass, since the scratch is handed back at once.
+    fn scratch(&mut self, len: usize) -> Vec<f32> {
+        self.free.fitting(len).unwrap_or_default()
+    }
+
+    fn release(&mut self, buf: Vec<f32>) {
+        self.free.give(buf);
+    }
+
+    /// Also drops the slot's previous buffer if the op did not take it.
     fn push(&mut self, value: Matrix, op: impl FnOnce() -> Op) -> Var {
         let var = Var(self.values.len());
+        if let Some(unused) = self.spare.get_mut(var.0) {
+            *unused = Vec::new();
+        }
         self.values.push(value);
         self.ops.push(op());
         var
@@ -146,7 +282,8 @@ impl<'s> Forward<'s> for Tape {
     /// A copy: the reverse pass reads every op's inputs, so none is
     /// consumed.
     fn take(&mut self, var: Var) -> Matrix {
-        self.values[var.0].clone()
+        let buf = self.buffer();
+        self.values[var.0].copy_into(buf)
     }
 
     /// Mounts a copy of the parameter's value, so the store can be stepped
@@ -156,7 +293,8 @@ impl<'s> Forward<'s> for Tape {
         if let Some(&var) = self.mounts.get(&id) {
             return var;
         }
-        let var = self.push(store.value(id).clone(), || Op::Leaf);
+        let value = store.value(id).copy_into(self.buffer());
+        let var = self.push(value, || Op::Leaf);
         self.mounts.insert(id, var);
         var
     }

@@ -45,7 +45,7 @@ use cpdg::core::chaos::FaultKind::{Permanent, Transient};
 use cpdg::core::chaos::{FaultHook, FaultPlan, FaultPoint, Trigger};
 use cpdg::core::integrity;
 use cpdg::core::scrub;
-use cpdg::core::storage::FS_STORAGE;
+use cpdg::core::storage::{Storage, FS_STORAGE};
 use cpdg::core::wal::{self, Wal, WalCheckpoint};
 use cpdg::core::{CpdgError, ModelFile, ScrubConfig, Scrubber};
 use cpdg::dgnn::{DgnnConfig, EncoderKind};
@@ -170,7 +170,7 @@ fn flipping_one_copy_of_each_artifact_class_heals_and_serving_stays_bit_identica
             // Serving loads an epoch from its primary only: the scrubber
             // is what heals it from the replica before the restart.
             let report = Scrubber::new(vec![st.epochs.clone()], ScrubConfig::default())
-                .scrub_all(&FS_STORAGE, &FaultHook::none());
+                .scrub_all(&FS_STORAGE);
             assert_eq!(report.repaired, 1, "{report:?}");
         }
         let (engine, _) = st.recover();
@@ -295,7 +295,7 @@ fn a_crash_between_corruption_detection_and_repair_recovers_deterministically() 
         Permanent,
         Trigger::Every { k: 1 },
     ));
-    let read = scrub::read_sealed_replicated(&FS_STORAGE, &pointer, &hook).unwrap();
+    let read = scrub::read_sealed_replicated(&Storage::new(hook.clone()), &pointer).unwrap();
     assert_eq!(read.corrupt_copies, 1);
     assert_eq!(read.repaired, 0, "suppressed repair = crash before rename");
     assert!(
@@ -318,8 +318,7 @@ fn a_crash_between_corruption_detection_and_repair_recovers_deterministically() 
 
     // A scrub pass over the directory skips the `.tmp` residue and finds
     // nothing left to repair.
-    let report = Scrubber::new(vec![epochs.clone()], ScrubConfig::default())
-        .scrub_all(&FS_STORAGE, &FaultHook::none());
+    let report = Scrubber::new(vec![epochs.clone()], ScrubConfig::default()).scrub_all(&FS_STORAGE);
     assert_eq!(report.corrupt, 0, "{report:?}");
     assert!(report.unrepairable.is_empty(), "{report:?}");
 }
@@ -339,7 +338,7 @@ fn injected_bitflips_fall_through_replicas_or_refuse_without_touching_disk() {
         Transient,
         Trigger::Nth { n: 0 },
     ));
-    let read = scrub::read_sealed_replicated(&FS_STORAGE, &path, &hook).unwrap();
+    let read = scrub::read_sealed_replicated(&Storage::new(hook.clone()), &path).unwrap();
     assert_eq!(read.payload, b"3\n/m.json");
     assert_eq!(read.corrupt_copies, 1);
 
@@ -349,7 +348,7 @@ fn injected_bitflips_fall_through_replicas_or_refuse_without_touching_disk() {
         Permanent,
         Trigger::Every { k: 1 },
     ));
-    let err = scrub::read_sealed_replicated(&FS_STORAGE, &path, &hook)
+    let err = scrub::read_sealed_replicated(&Storage::new(hook.clone()), &path)
         .map(|_| ())
         .unwrap_err();
     assert_eq!(err.exit_code(), 4);
@@ -361,7 +360,7 @@ fn injected_bitflips_fall_through_replicas_or_refuse_without_touching_disk() {
         let p = scrub::copy_path(&path, i);
         assert!(integrity::unseal(&std::fs::read(&p).unwrap(), &p).is_ok());
     }
-    scrub::read_sealed_replicated(&FS_STORAGE, &path, &FaultHook::none()).unwrap();
+    scrub::read_sealed_replicated(&FS_STORAGE, &path).unwrap();
 }
 
 /// A scrubber with a tiny byte budget heals a corrupted tree
@@ -385,7 +384,7 @@ fn a_byte_budgeted_scrubber_heals_a_tree_across_cycles() {
     let mut cycles = 0u32;
     let mut repaired = 0u64;
     while repaired < 3 && cycles < 1000 {
-        let report = scrubber.scrub_cycle(&FS_STORAGE, &FaultHook::none());
+        let report = scrubber.scrub_cycle(&FS_STORAGE);
         assert!(report.unrepairable.is_empty(), "{report:?}");
         repaired += report.repaired;
         cycles += 1;
@@ -396,7 +395,7 @@ fn a_byte_budgeted_scrubber_heals_a_tree_across_cycles() {
     );
     assert!(cycles > 1, "a 200-byte budget must take multiple cycles");
 
-    let clean = scrubber.scrub_all(&FS_STORAGE, &FaultHook::none());
+    let clean = scrubber.scrub_all(&FS_STORAGE);
     assert_eq!(clean.corrupt, 0, "{clean:?}");
     assert!(clean.unrepairable.is_empty(), "{clean:?}");
     assert_eq!(snap(&st.recover().0), reference);
@@ -518,7 +517,7 @@ fn every_single_byte_flip_of_a_sealed_checkpoint_is_refused() {
         let mut bad = pristine.clone();
         bad[off] ^= 0x40;
         std::fs::write(&path, &bad).unwrap();
-        let got = WalCheckpoint::load(&FS_STORAGE, &path, &FaultHook::none()).map(|_| ());
+        let got = WalCheckpoint::load(&FS_STORAGE, &path).map(|_| ());
         assert!(got.is_err(), "checkpoint flip at {off} loaded");
     }
 }

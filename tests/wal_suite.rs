@@ -30,7 +30,7 @@ mod support;
 
 use cpdg::core::chaos::FaultKind::{Permanent, Transient};
 use cpdg::core::chaos::{FaultHook, FaultPlan, FaultPoint, Trigger};
-use cpdg::core::CpdgError;
+use cpdg::core::{CpdgError, FS_STORAGE};
 use cpdg::serve::{Engine, EngineConfig, Server, ServerConfig, Stat};
 use std::sync::Arc;
 use support::{
@@ -205,6 +205,30 @@ fn permanent_replay_fault_is_a_typed_recovery_error() {
         Err(CpdgError::Fault { point, .. }) => assert_eq!(point, "wal.replay"),
         other => panic!("expected a typed replay fault, got {other:?}"),
     }
+}
+
+#[test]
+fn planned_storage_read_faults_reach_the_checkpoint_load() {
+    let model = trained_model(7);
+    let dir = test_dir("ckpt_read_fault");
+    let engine = Engine::from_model(&model, EngineConfig::default(), FaultHook::none());
+    engine.open_wal(&dir, tiny_segments()).unwrap();
+    feed(&[&engine], &events(0, 6));
+    engine.checkpoint_wal(&FS_STORAGE).unwrap();
+    drop(engine);
+
+    // Every read fails: the checkpoint load reads its copies through the
+    // engine's storage, so recovery stops with the injected I/O error.
+    let plan = FaultPlan::new(1).with(FaultPoint::StorageRead, Permanent, Trigger::Every { k: 1 });
+    let hook = FaultHook::install(&plan);
+    let broken = Engine::from_model(&model, EngineConfig::default(), hook.clone());
+    match broken.open_wal(&dir, tiny_segments()) {
+        Err(CpdgError::Io { source, .. }) => {
+            assert!(source.to_string().contains("storage.read"), "{source}")
+        }
+        other => panic!("expected the injected storage.read error, got {other:?}"),
+    }
+    assert!(hook.hits(FaultPoint::StorageRead) >= 1);
 }
 
 #[test]
