@@ -627,12 +627,6 @@ fn cmd_finetune(args: &Args, run: Option<&cpdg_obs::RunDir>) -> CpdgResult<()> {
         .map_err(|e| CpdgError::corrupt(model_path, e.to_string()))?;
     println!("loaded {copied} parameter tensors from {model_path}");
 
-    let strategy = if model.checkpoints.is_empty() && matches!(strategy, FinetuneStrategy::Eie(_)) {
-        println!("model has no checkpoints; falling back to full fine-tuning");
-        FinetuneStrategy::Full
-    } else {
-        strategy
-    };
     let fcfg = FinetuneConfig {
         epochs,
         seed,
@@ -652,6 +646,9 @@ fn cmd_finetune(args: &Args, run: Option<&cpdg_obs::RunDir>) -> CpdgResult<()> {
         &fcfg,
         None,
     );
+    if res.eie_degraded {
+        println!("model has no checkpoints; fell back to full fine-tuning");
+    }
     println!("validation AUC : {:.4}", res.val_auc);
     println!("test AUC       : {:.4}", res.auc);
     println!("test AP        : {:.4}", res.ap);

@@ -31,9 +31,9 @@ use crate::chaos::{FaultHook, FaultPoint};
 use crate::error::{CpdgError, CpdgResult};
 use crate::model_io::ModelFile;
 use crate::storage::Storage;
-use cpdg_dgnn::trainer::eval_link_prediction;
+use crate::tlp::score_stream;
 use cpdg_dgnn::{
-    train_step, DgnnConfig, DgnnEncoder, GuardConfig, LinkPredictor, TrainConfig, TrainGuard,
+    train_step, DgnnConfig, DgnnEncoder, GuardConfig, LinkPredictor, NegativeSampler, TrainGuard,
 };
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::loss::triplet_margin;
@@ -568,13 +568,22 @@ pub fn holdout_loss(
         .load_matching(&model.params)
         .map_err(|e| CpdgError::Invalid(format!("model does not fit its config: {e}")))?;
     encoder.reset_state();
-    let cfg = TrainConfig {
-        batch_size: 128,
-        epochs: 1,
-        seed,
-        ..TrainConfig::default()
-    };
-    let scores = eval_link_prediction(&mut encoder, &head, &store, graph, score_from, &cfg, None);
+    let sampler = NegativeSampler::from_graph(graph);
+    // The negatives' stream is salted away from the model-building seed.
+    let mut neg_rng = StdRng::seed_from_u64(seed.wrapping_add(0x9E37_79B9));
+    let scores = score_stream(
+        &mut encoder,
+        &head,
+        &store,
+        graph,
+        0,
+        score_from..,
+        None,
+        128,
+        &sampler,
+        &mut neg_rng,
+        None,
+    );
     let scored = scores.pos.len() + scores.neg.len();
     if scored == 0 {
         return Ok((f64::NAN, 0));

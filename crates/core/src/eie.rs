@@ -14,7 +14,7 @@
 use cpdg_dgnn::MemorySnapshot;
 use cpdg_graph::NodeId;
 use cpdg_tensor::nn::{Activation, GruCell, Mlp, NeighborAttention};
-use cpdg_tensor::{Forward, Matrix, ParamStore, Tape, Var};
+use cpdg_tensor::{Forward, Matrix, ParamStore, Var};
 use rand::Rng;
 
 /// The checkpoint-sequence fusion `f_EI(·)` (Eq. 18).
@@ -96,10 +96,10 @@ impl EieModule {
 
     /// Fuses the checkpoint sequence for `nodes` (Eq. 18), producing an
     /// `m × dim` variable.
-    pub fn fuse(
+    pub fn fuse<'s>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
+        ev: &mut impl Forward<'s>,
+        store: &'s ParamStore,
         checkpoints: &[MemorySnapshot],
         nodes: &[NodeId],
     ) -> Var {
@@ -113,14 +113,14 @@ impl EieModule {
                     acc.add_assign(&cp.states.gather_rows(&idx));
                 }
                 acc.scale_inplace(1.0 / checkpoints.len() as f32);
-                tape.constant(acc)
+                ev.constant(acc)
             }
             EieFusion::Gru => {
                 let gru = self.gru.as_ref().expect("gru fusion");
-                let mut h = tape.constant(Matrix::zeros(nodes.len(), self.dim));
+                let mut h = ev.constant(Matrix::zeros(nodes.len(), self.dim));
                 for cp in checkpoints {
-                    let x = tape.constant(cp.states.gather_rows(&idx));
-                    h = gru.forward(tape, store, x, h);
+                    let x = ev.constant(cp.states.gather_rows(&idx));
+                    h = gru.forward(ev, store, x, h);
                 }
                 h
             }
@@ -135,35 +135,38 @@ impl EieModule {
                         seq.extend_from_slice(cp.states.row(i));
                     }
                 }
-                let kv = tape.constant(Matrix::from_vec(nodes.len() * l, self.dim, seq));
+                let kv = ev.constant(Matrix::from_vec(nodes.len() * l, self.dim, seq));
                 let last = checkpoints.last().expect("non-empty");
-                let q = tape.constant(last.states.gather_rows(&idx));
+                let q = ev.constant(last.states.gather_rows(&idx));
                 let segments: Vec<_> = (0..nodes.len()).map(|j| j * l..(j + 1) * l).collect();
-                attn.forward_rows(tape, store, q, kv, &segments)
+                attn.forward_rows(ev, store, q, kv, &segments)
             }
         }
     }
 
     /// Eq. 19: `Z_EIE = [z_down ‖ MLP(EI)]`, producing `m × 2·dim`.
-    pub fn enhance(&self, tape: &mut Tape, store: &ParamStore, z_down: Var, ei: Var) -> Var {
+    pub fn enhance<'s>(
+        &self,
+        ev: &mut impl Forward<'s>,
+        store: &'s ParamStore,
+        z_down: Var,
+        ei: Var,
+    ) -> Var {
         assert_eq!(
-            tape.value(z_down).cols(),
+            ev.value(z_down).cols(),
             self.dim,
             "enhance: embedding width mismatch"
         );
-        assert_eq!(
-            tape.value(ei).cols(),
-            self.dim,
-            "enhance: EI width mismatch"
-        );
-        let adapted = self.mlp.forward(tape, store, ei);
-        tape.concat_cols(z_down, adapted)
+        assert_eq!(ev.value(ei).cols(), self.dim, "enhance: EI width mismatch");
+        let adapted = self.mlp.forward(ev, store, ei);
+        ev.concat_cols(z_down, adapted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpdg_tensor::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -16,13 +16,16 @@
 //! Enhanced embeddings (Eq. 19) through both tasks.
 
 use crate::eie::{EieFusion, EieModule};
-use cpdg_dgnn::trainer::NegativeSampler;
-use cpdg_dgnn::{metrics, train_step, DgnnEncoder, LinkPredictor, MemorySnapshot, NodeClassifier};
+use crate::tlp::{enhance, forward_batch, score_stream};
+use cpdg_dgnn::{
+    metrics, train_step, DgnnEncoder, LinkPredictor, MemorySnapshot, NegativeSampler,
+    NodeClassifier,
+};
 use cpdg_graph::split::chrono_boundaries;
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::loss::link_prediction_loss;
 use cpdg_tensor::optim::Adam;
-use cpdg_tensor::{Forward, Matrix, ParamStore, Tape, Var};
+use cpdg_tensor::{Eval, Forward, Matrix, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -91,70 +94,51 @@ pub struct LinkPredResult {
     pub ap: f64,
     /// Validation AUC of the selected epoch.
     pub val_auc: f64,
-    /// True when an EIE strategy was requested but had to degrade to plain
-    /// full fine-tuning because no pre-training checkpoints were available
-    /// (set by the pipeline, so sweeps cannot mislabel conditions).
+    /// True when an EIE strategy was requested but ran as plain full
+    /// fine-tuning because no pre-training checkpoints were given, so
+    /// sweeps cannot mislabel the condition.
     pub eie_degraded: bool,
 }
 
-/// Bundles the per-run modules so embedding enhancement is uniform across
-/// train / val / test passes.
-struct FtModel {
-    head: LinkPredictor,
-    eie: Option<EieModule>,
+/// The strategy fine-tuning runs: an EIE request degrades to `Full` when
+/// there are no pre-training checkpoints to fuse, with a warning and a
+/// `finetune.eie_degraded` count. Returns it and whether it degraded.
+fn effective_strategy(
+    strategy: FinetuneStrategy,
+    checkpoints: &[MemorySnapshot],
+) -> (FinetuneStrategy, bool) {
+    if !checkpoints.is_empty() || strategy == FinetuneStrategy::Full {
+        return (strategy, false);
+    }
+    cpdg_obs::counter!("finetune.eie_degraded").inc();
+    cpdg_obs::warn!(
+        "core.finetune",
+        "EIE fine-tuning requested but no pre-training checkpoints exist; degrading to Full";
+        strategy = strategy.name(),
+    );
+    (FinetuneStrategy::Full, true)
 }
 
-impl FtModel {
-    fn new(
-        store: &mut ParamStore,
-        rng: &mut StdRng,
-        dim: usize,
-        strategy: FinetuneStrategy,
-        name: &str,
-    ) -> Self {
-        let eie = match strategy {
-            FinetuneStrategy::Full => None,
-            FinetuneStrategy::Eie(fusion) => Some(EieModule::new(
-                store,
-                rng,
-                &format!("{name}.eie"),
-                dim,
-                fusion,
-            )),
-        };
-        let head_dim = if eie.is_some() { 2 * dim } else { dim };
-        let head = LinkPredictor::new(store, rng, &format!("{name}.head"), head_dim);
-        Self { head, eie }
-    }
-
-    /// Embeds `nodes` at `times` and applies EIE enhancement when active.
-    #[allow(clippy::too_many_arguments)]
-    fn embed(
-        &self,
-        tape: &mut Tape,
-        encoder: &DgnnEncoder,
-        store: &ParamStore,
-        ctx: &cpdg_dgnn::BatchContext,
-        graph: &DynamicGraph,
-        checkpoints: &[MemorySnapshot],
-        nodes: &[NodeId],
-        times: &[Timestamp],
-    ) -> Var {
-        let z = encoder.embed_many(tape, store, ctx, graph, nodes, times);
-        match &self.eie {
-            None => z,
-            Some(eie) => {
-                let ei = eie.fuse(tape, store, checkpoints, nodes);
-                eie.enhance(tape, store, z, ei)
-            }
-        }
+/// The EIE module `strategy` asks for, registered under `name`.
+fn eie_module(
+    store: &mut ParamStore,
+    rng: &mut StdRng,
+    name: &str,
+    dim: usize,
+    strategy: FinetuneStrategy,
+) -> Option<EieModule> {
+    match strategy {
+        FinetuneStrategy::Full => None,
+        FinetuneStrategy::Eie(fusion) => Some(EieModule::new(store, rng, name, dim, fusion)),
     }
 }
 
 /// Fine-tunes a (pre-trained) encoder on downstream link prediction and
 /// returns test metrics. `checkpoints` feeds the EIE strategies (pass the
-/// pre-training output; ignored under `Full`). `inductive_nodes`, when
-/// given, restricts test scoring to events touching that set.
+/// pre-training output; ignored under `Full`, and an EIE strategy without
+/// them runs as `Full` with [`LinkPredResult::eie_degraded`] set).
+/// `inductive_nodes`, when given, restricts test scoring to events
+/// touching that set.
 pub fn finetune_link_prediction(
     encoder: &mut DgnnEncoder,
     store: &mut ParamStore,
@@ -163,10 +147,18 @@ pub fn finetune_link_prediction(
     cfg: &FinetuneConfig,
     inductive_nodes: Option<&HashSet<NodeId>>,
 ) -> LinkPredResult {
+    let (strategy, eie_degraded) = effective_strategy(cfg.strategy, checkpoints);
+    // One rng draws the head initialisation, the training negatives and
+    // the validation and test negatives, in that order.
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let model = FtModel::new(store, &mut rng, encoder.dim(), cfg.strategy, "ft");
+    let dim = encoder.dim();
+    let eie_module = eie_module(store, &mut rng, "ft.eie", dim, strategy);
+    let head_dim = eie_module.as_ref().map_or(dim, EieModule::enhanced_dim);
+    let head = LinkPredictor::new(store, &mut rng, "ft.head", head_dim);
+    let eie = eie_module.as_ref().map(|m| (m, checkpoints));
     let mut opt = Adam::new(cfg.lr);
     let sampler = NegativeSampler::from_graph(graph);
+    let batch_size = cfg.batch_size.max(1);
 
     let bounds = chrono_boundaries(
         graph,
@@ -187,48 +179,13 @@ pub fn finetune_link_prediction(
         let _epoch_timer = cpdg_obs::span("finetune.epoch_us");
         encoder.reset_state();
         // --- train on [0, train_end) ---------------------------------
-        for chunk in graph.events()[..train_end].chunks(cfg.batch_size.max(1)) {
+        for chunk in graph.events()[..train_end].chunks(batch_size) {
             tape.reset();
             let ctx = encoder.apply_pending(&mut tape, store, graph);
-            let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
-            let dsts: Vec<NodeId> = chunk.iter().map(|e| e.dst).collect();
-            let times: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
-            let negs: Vec<NodeId> = chunk.iter().map(|_| sampler.sample(&mut rng)).collect();
-
-            let z_src = model.embed(
-                &mut tape,
-                encoder,
-                store,
-                &ctx,
-                graph,
-                checkpoints,
-                &srcs,
-                &times,
+            let b = forward_batch(
+                &mut tape, encoder, &head, store, &ctx, graph, chunk, &sampler, &mut rng, eie,
             );
-            let z_dst = model.embed(
-                &mut tape,
-                encoder,
-                store,
-                &ctx,
-                graph,
-                checkpoints,
-                &dsts,
-                &times,
-            );
-            let z_neg = model.embed(
-                &mut tape,
-                encoder,
-                store,
-                &ctx,
-                graph,
-                checkpoints,
-                &negs,
-                &times,
-            );
-            let pos = model.head.score(&mut tape, store, z_src, z_dst);
-            let neg = model.head.score(&mut tape, store, z_src, z_neg);
-            let loss = link_prediction_loss(&mut tape, pos, neg);
-
+            let loss = link_prediction_loss(&mut tape, b.pos, b.neg);
             if let Ok(Some(update)) = train_step(&mut tape, loss, cfg.grad_clip, None) {
                 update.apply(&mut opt, store);
             }
@@ -236,21 +193,20 @@ pub fn finetune_link_prediction(
         }
         // --- validation scores on [train_end, val_end): memory is warm
         // through the train region, so continue the stream from there.
-        let val = score_range(
+        let val = score_stream(
             encoder,
+            &head,
             store,
-            &model,
             graph,
-            checkpoints,
-            &sampler,
             train_end,
-            train_end,
-            val_end,
-            cfg,
+            train_end..val_end,
             None,
+            batch_size,
+            &sampler,
             &mut rng,
+            eie,
         );
-        let (val_auc, _) = metrics::link_prediction_metrics(&val.0, &val.1);
+        let (val_auc, _) = val.metrics();
         let selected = val_auc > best_val;
         if selected {
             best_val = val_auc;
@@ -260,7 +216,7 @@ pub fn finetune_link_prediction(
             "finetune_epoch",
             vec![
                 ("epoch".into(), (epoch as u64).into()),
-                ("strategy".into(), cfg.strategy.name().into()),
+                ("strategy".into(), strategy.name().into()),
                 ("val_auc".into(), val_auc.into()),
                 ("selected".into(), selected.into()),
             ],
@@ -275,126 +231,44 @@ pub fn finetune_link_prediction(
     // replay the whole stream, warming memory through train+val without
     // scoring, then score the test region.
     encoder.reset_state();
-    let test = score_range(
+    let test = score_stream(
         encoder,
+        &head,
         store,
-        &model,
         graph,
-        checkpoints,
-        &sampler,
         0,
-        val_end,
-        graph.num_events(),
-        cfg,
+        val_end..,
         inductive_nodes,
+        batch_size,
+        &sampler,
         &mut rng,
+        eie,
     );
     // An inductive restriction can leave nothing to score; report NaN
     // rather than a misleading degenerate 0.5.
-    let (auc, ap) = if test.0.is_empty() {
+    let (auc, ap) = if test.pos.is_empty() {
         (f64::NAN, f64::NAN)
     } else {
-        metrics::link_prediction_metrics(&test.0, &test.1)
+        test.metrics()
     };
     let result = LinkPredResult {
         auc,
         ap,
         val_auc: best_val.max(0.0),
-        eie_degraded: false,
+        eie_degraded,
     };
     cpdg_obs::emit_metrics(
         "finetune_result",
         vec![
-            ("strategy".into(), cfg.strategy.name().into()),
+            ("strategy".into(), strategy.name().into()),
             ("auc".into(), result.auc.into()),
             ("ap".into(), result.ap.into()),
             ("val_auc".into(), result.val_auc.into()),
-            ("scored_events".into(), test.0.len().into()),
+            ("scored_events".into(), test.pos.len().into()),
             ("inductive".into(), inductive_nodes.is_some().into()),
         ],
     );
     result
-}
-
-/// Streams `graph.events()[stream_from..]` (the encoder's memory must
-/// correspond to having consumed everything before `stream_from`), scoring
-/// events whose index lies in `[score_from, score_to)`.
-/// Returns `(pos_logits, neg_logits)`.
-#[allow(clippy::too_many_arguments)]
-fn score_range(
-    encoder: &mut DgnnEncoder,
-    store: &ParamStore,
-    model: &FtModel,
-    graph: &DynamicGraph,
-    checkpoints: &[MemorySnapshot],
-    sampler: &NegativeSampler,
-    stream_from: usize,
-    score_from: usize,
-    score_to: usize,
-    cfg: &FinetuneConfig,
-    restrict_to: Option<&HashSet<NodeId>>,
-    rng: &mut StdRng,
-) -> (Vec<f32>, Vec<f32>) {
-    let from = score_from;
-    let to = score_to;
-    let mut pos_out = Vec::new();
-    let mut neg_out = Vec::new();
-    for chunk in graph.events()[stream_from..].chunks(cfg.batch_size.max(1)) {
-        let mut tape = Tape::new();
-        let ctx = encoder.apply_pending(&mut tape, store, graph);
-        let scored: Vec<_> = chunk
-            .iter()
-            .filter(|e| {
-                e.idx >= from
-                    && e.idx < to
-                    && restrict_to
-                        .map(|s| s.contains(&e.src) || s.contains(&e.dst))
-                        .unwrap_or(true)
-            })
-            .collect();
-        if !scored.is_empty() {
-            let srcs: Vec<NodeId> = scored.iter().map(|e| e.src).collect();
-            let dsts: Vec<NodeId> = scored.iter().map(|e| e.dst).collect();
-            let times: Vec<Timestamp> = scored.iter().map(|e| e.t).collect();
-            let negs: Vec<NodeId> = scored.iter().map(|_| sampler.sample(rng)).collect();
-            let z_src = model.embed(
-                &mut tape,
-                encoder,
-                store,
-                &ctx,
-                graph,
-                checkpoints,
-                &srcs,
-                &times,
-            );
-            let z_dst = model.embed(
-                &mut tape,
-                encoder,
-                store,
-                &ctx,
-                graph,
-                checkpoints,
-                &dsts,
-                &times,
-            );
-            let z_neg = model.embed(
-                &mut tape,
-                encoder,
-                store,
-                &ctx,
-                graph,
-                checkpoints,
-                &negs,
-                &times,
-            );
-            let pos = model.head.score(&mut tape, store, z_src, z_dst);
-            let neg = model.head.score(&mut tape, store, z_src, z_neg);
-            pos_out.extend(tape.value(pos).data());
-            neg_out.extend(tape.value(neg).data());
-        }
-        encoder.commit(&tape, ctx, chunk);
-    }
-    (pos_out, neg_out)
 }
 
 /// Fine-tunes for dynamic node classification and returns the test AUC.
@@ -403,7 +277,8 @@ fn score_range(
 /// prediction, train portion). Stage 2 captures (possibly EIE-enhanced)
 /// embeddings at every dynamic label event, trains a classifier on the
 /// train-portion labels, selects on validation labels, and reports test
-/// AUC. Returns 0.5 when the graph carries no usable labels.
+/// AUC. Returns 0.5 when the graph carries no usable labels. An EIE
+/// strategy without `checkpoints` runs as `Full`.
 pub fn finetune_node_classification(
     encoder: &mut DgnnEncoder,
     store: &mut ParamStore,
@@ -414,37 +289,31 @@ pub fn finetune_node_classification(
     if graph.labels().is_empty() {
         return 0.5;
     }
+    let (strategy, _) = effective_strategy(cfg.strategy, checkpoints);
+    let cfg = &FinetuneConfig {
+        strategy,
+        ..cfg.clone()
+    };
     // Stage 1: encoder fine-tuning (ignore returned metrics).
     let _ = finetune_link_prediction(encoder, store, graph, checkpoints, cfg, None);
 
     // Stage 2: capture embeddings at label events while streaming.
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(17));
-    let eie = match cfg.strategy {
-        FinetuneStrategy::Full => None,
-        FinetuneStrategy::Eie(fusion) => Some(EieModule::new(
-            store,
-            &mut rng,
-            "nc.eie",
-            encoder.dim(),
-            fusion,
-        )),
-    };
-    let feat_dim = if eie.is_some() {
-        2 * encoder.dim()
-    } else {
-        encoder.dim()
-    };
+    let eie_module = eie_module(store, &mut rng, "nc.eie", encoder.dim(), strategy);
+    let feat_dim = eie_module
+        .as_ref()
+        .map_or(encoder.dim(), EieModule::enhanced_dim);
+    let eie = eie_module.as_ref().map(|m| (m, checkpoints));
 
     encoder.reset_state();
     let mut feats: Vec<Vec<f32>> = Vec::new();
     let mut labels: Vec<bool> = Vec::new();
-    let mut label_times: Vec<Timestamp> = Vec::new();
     let mut li = 0usize;
     let all_labels = graph.labels();
     for chunk in graph.events().chunks(cfg.batch_size.max(1)) {
         let t_hi = chunk.last().expect("non-empty chunk").t;
-        let mut tape = Tape::new();
-        let ctx = encoder.apply_pending(&mut tape, store, graph);
+        let mut ev = Eval::new();
+        let ctx = encoder.apply_pending(&mut ev, store, graph);
         // Labels due in this window.
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut times: Vec<Timestamp> = Vec::new();
@@ -452,24 +321,17 @@ pub fn finetune_node_classification(
             nodes.push(all_labels[li].node);
             times.push(all_labels[li].t);
             labels.push(all_labels[li].label);
-            label_times.push(all_labels[li].t);
             li += 1;
         }
         if !nodes.is_empty() {
-            let z = encoder.embed_many(&mut tape, store, &ctx, graph, &nodes, &times);
-            let z = match &eie {
-                None => z,
-                Some(eie) => {
-                    let ei = eie.fuse(&mut tape, store, checkpoints, &nodes);
-                    eie.enhance(&mut tape, store, z, ei)
-                }
-            };
-            let v = tape.value(z);
+            let z = encoder.embed_many(&mut ev, store, &ctx, graph, &nodes, &times);
+            let z = enhance(&mut ev, store, eie, z, &nodes);
+            let v = ev.value(z);
             for r in 0..v.rows() {
                 feats.push(v.row(r).to_vec());
             }
         }
-        encoder.commit(&tape, ctx, chunk);
+        encoder.commit(&ev, ctx, chunk);
     }
     if labels.iter().all(|&l| l) || labels.iter().all(|&l| !l) {
         return 0.5;
@@ -525,10 +387,10 @@ fn classify(clf: &NodeClassifier, store: &ParamStore, feats: &[Vec<f32>], dim: u
         return Vec::new();
     }
     let x = Matrix::from_vec(feats.len(), dim, feats.iter().flatten().copied().collect());
-    let mut tape = Tape::new();
-    let xv = tape.constant(x);
-    let logits = clf.score(&mut tape, store, xv);
-    tape.value(logits).data().to_vec()
+    let mut ev = Eval::new();
+    let xv = ev.constant(x);
+    let logits = clf.score(&mut ev, store, xv);
+    ev.take(logits).into_data()
 }
 
 #[cfg(test)]
@@ -536,7 +398,35 @@ mod tests {
     use super::*;
     use crate::pretrain::{pretrain, PretrainConfig};
     use cpdg_dgnn::{DgnnConfig, EncoderKind};
-    use cpdg_graph::{generate, SyntheticConfig};
+    use cpdg_graph::{generate, DynamicGraphBuilder, SyntheticConfig};
+    use rand::RngExt;
+
+    /// A graph with a strongly learnable rule: even users interact with
+    /// even items, odd users with odd items, repeatedly over time.
+    fn planted_graph(n_users: usize, n_items: usize, n_events: usize, seed: u64) -> DynamicGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = DynamicGraphBuilder::new(n_users + n_items);
+        for e in 0..n_events {
+            let u = rng.random_range(0..n_users);
+            let item_local = 2 * rng.random_range(0..n_items / 2) + u % 2;
+            let item = (n_users + item_local.min(n_items - 1)) as NodeId;
+            b.add_interaction(u as NodeId, item, e as f64, 0);
+        }
+        b.build().unwrap()
+    }
+
+    /// A freshly initialised (not pre-trained) encoder.
+    fn fresh_encoder(
+        kind: EncoderKind,
+        graph: &DynamicGraph,
+        seed: u64,
+    ) -> (ParamStore, DgnnEncoder) {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dcfg = DgnnConfig::preset(kind, 16, 50.0);
+        let enc = DgnnEncoder::new(&mut store, &mut rng, "enc", graph.num_nodes(), dcfg);
+        (store, enc)
+    }
 
     fn quick_cfg() -> FinetuneConfig {
         FinetuneConfig {
@@ -629,6 +519,82 @@ mod tests {
     }
 
     #[test]
+    fn fine_tuning_learns_a_planted_rule() {
+        // Half of the uniform negatives share the positive's parity, so
+        // the rule caps AUC near 0.75; from a fresh init a run either
+        // finds it or stays near chance, so count the seeds that learn.
+        let learned = (1..=5u64)
+            .filter(|&seed| {
+                let g = planted_graph(12, 12, 1200, seed);
+                let (mut store, mut enc) = fresh_encoder(EncoderKind::DyRep, &g, seed);
+                let cfg = FinetuneConfig {
+                    batch_size: 64,
+                    epochs: 10,
+                    lr: 3e-2,
+                    seed,
+                    ..Default::default()
+                };
+                let res = finetune_link_prediction(&mut enc, &mut store, &g, &[], &cfg, None);
+                res.auc > 0.6 && res.ap > 0.55
+            })
+            .count();
+        assert!(learned >= 3, "only {learned} of 5 seeds beat chance");
+    }
+
+    #[test]
+    fn fine_tuning_trains_parameters_and_is_seed_deterministic() {
+        let g = planted_graph(10, 10, 400, 3);
+        let bits = |store: &ParamStore| crate::codec::to_bytes(store);
+        let initial = bits(&fresh_encoder(EncoderKind::Tgn, &g, 7).0);
+        let run = |seed: u64| {
+            let (mut store, mut enc) = fresh_encoder(EncoderKind::Tgn, &g, 7);
+            let cfg = FinetuneConfig {
+                seed,
+                ..quick_cfg()
+            };
+            let res = finetune_link_prediction(&mut enc, &mut store, &g, &[], &cfg, None);
+            (bits(&store), res.auc.to_bits(), res.val_auc.to_bits())
+        };
+        let first = run(5);
+        assert_eq!(run(5), first, "same seed, same parameters and metrics");
+        assert_ne!(
+            first.0[..initial.len()],
+            initial[..],
+            "training moved parameters"
+        );
+        assert_ne!(
+            run(6).0,
+            first.0,
+            "the seed drives the negatives and the head"
+        );
+    }
+
+    #[test]
+    fn eie_without_checkpoints_runs_as_full_and_says_so() {
+        let g = planted_graph(10, 10, 400, 4);
+        let run = |strategy: FinetuneStrategy| {
+            let (mut store, mut enc) = fresh_encoder(EncoderKind::Tgn, &g, 4);
+            let cfg = FinetuneConfig {
+                strategy,
+                ..quick_cfg()
+            };
+            finetune_link_prediction(&mut enc, &mut store, &g, &[], &cfg, None)
+        };
+        let eie = run(FinetuneStrategy::Eie(EieFusion::Gru));
+        let full = run(FinetuneStrategy::Full);
+        assert!(eie.eie_degraded);
+        assert!(!full.eie_degraded);
+        assert_eq!(
+            (eie.auc.to_bits(), eie.ap.to_bits(), eie.val_auc.to_bits()),
+            (
+                full.auc.to_bits(),
+                full.ap.to_bits(),
+                full.val_auc.to_bits()
+            )
+        );
+    }
+
+    #[test]
     fn node_classification_runs_on_labelled_data() {
         let ds = generate(
             &SyntheticConfig {
@@ -644,6 +610,18 @@ mod tests {
         let mut enc = DgnnEncoder::new(&mut store, &mut rng, "enc", ds.graph.num_nodes(), dcfg);
         let auc = finetune_node_classification(&mut enc, &mut store, &ds.graph, &[], &quick_cfg());
         assert!((0.0..=1.0).contains(&auc));
+
+        // An EIE request without checkpoints classifies exactly as Full.
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(2);
+        let dcfg = DgnnConfig::preset(EncoderKind::Tgn, 8, 50_000.0);
+        let mut enc = DgnnEncoder::new(&mut store, &mut rng, "enc", ds.graph.num_nodes(), dcfg);
+        let cfg = FinetuneConfig {
+            strategy: FinetuneStrategy::Eie(EieFusion::Attn),
+            ..quick_cfg()
+        };
+        let eie = finetune_node_classification(&mut enc, &mut store, &ds.graph, &[], &cfg);
+        assert_eq!(eie.to_bits(), auc.to_bits());
     }
 
     #[test]

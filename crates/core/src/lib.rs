@@ -45,6 +45,7 @@ pub mod pretrain;
 pub mod sampler;
 pub mod scrub;
 pub mod storage;
+pub mod tlp;
 pub mod wal;
 
 pub use chaos::{

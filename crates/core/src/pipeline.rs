@@ -102,15 +102,6 @@ impl PipelineConfig {
         self.finetune.seed = seed;
         self
     }
-
-    /// Human-readable condition label for experiment tables.
-    pub fn label(&self) -> String {
-        match self.mode {
-            PretrainMode::Cpdg => format!("{} with CPDG", self.encoder.name()),
-            PretrainMode::Vanilla => self.encoder.name().to_string(),
-            PretrainMode::None => format!("{} (no pre-train)", self.encoder.name()),
-        }
-    }
 }
 
 /// A Δt divisor that puts a graph's typical horizon at O(100) time-encoder
@@ -179,28 +170,6 @@ fn prepare(split: &TransferSplit, cfg: &PipelineConfig) -> PipelineArtifacts {
     }
 }
 
-/// Degrades an EIE fine-tuning request to `Full` when no pre-training
-/// checkpoints exist, warning through the observability layer and bumping
-/// the `pipeline.eie_degraded` counter — sweeps must never mislabel this
-/// condition as EIE. Returns whether the degradation happened.
-fn degrade_eie_without_checkpoints(
-    fcfg: &mut FinetuneConfig,
-    num_checkpoints: usize,
-    label: &str,
-) -> bool {
-    if num_checkpoints > 0 || !matches!(fcfg.strategy, FinetuneStrategy::Eie(_)) {
-        return false;
-    }
-    cpdg_obs::counter!("pipeline.eie_degraded").inc();
-    cpdg_obs::warn!(
-        "core.pipeline",
-        "EIE fine-tuning requested but no pre-training checkpoints exist; degrading to Full";
-        pipeline = label,
-    );
-    fcfg.strategy = FinetuneStrategy::Full;
-    true
-}
-
 /// Nodes active in the downstream graph but never seen during
 /// pre-training — the paper's inductive evaluation set.
 pub fn unseen_nodes(split: &TransferSplit) -> HashSet<NodeId> {
@@ -222,46 +191,31 @@ pub fn run_link_prediction(
     inductive: bool,
 ) -> LinkPredResult {
     let mut art = prepare(split, cfg);
-    let checkpoints = art
-        .pretrain
-        .as_ref()
-        .map(|p| p.checkpoints.as_slice())
-        .unwrap_or(&[]);
-    let mut fcfg = cfg.finetune.clone();
-    let eie_degraded = degrade_eie_without_checkpoints(&mut fcfg, checkpoints.len(), &cfg.label());
+    let checkpoints = art.pretrain.as_ref().map_or(&[][..], |p| &p.checkpoints);
     let unseen = inductive
         .then(|| unseen_nodes(split))
         .filter(|s| !s.is_empty());
-    let checkpoints = checkpoints.to_vec();
-    let mut res = finetune_link_prediction(
+    finetune_link_prediction(
         &mut art.encoder,
         &mut art.store,
         &split.downstream,
-        &checkpoints,
-        &fcfg,
+        checkpoints,
+        &cfg.finetune,
         unseen.as_ref(),
-    );
-    res.eie_degraded = eie_degraded;
-    res
+    )
 }
 
 /// Runs the downstream *dynamic node classification* task under `cfg`,
 /// returning the test AUC.
 pub fn run_node_classification(split: &TransferSplit, cfg: &PipelineConfig) -> f64 {
     let mut art = prepare(split, cfg);
-    let checkpoints = art
-        .pretrain
-        .as_ref()
-        .map(|p| p.checkpoints.clone())
-        .unwrap_or_default();
-    let mut fcfg = cfg.finetune.clone();
-    degrade_eie_without_checkpoints(&mut fcfg, checkpoints.len(), &cfg.label());
+    let checkpoints = art.pretrain.as_ref().map_or(&[][..], |p| &p.checkpoints);
     finetune_node_classification(
         &mut art.encoder,
         &mut art.store,
         &split.downstream,
-        &checkpoints,
-        &fcfg,
+        checkpoints,
+        &cfg.finetune,
     )
 }
 
@@ -339,15 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_name_conditions() {
-        assert_eq!(
-            PipelineConfig::cpdg(EncoderKind::Tgn).label(),
-            "TGN with CPDG"
-        );
-        assert_eq!(PipelineConfig::vanilla(EncoderKind::Tgn).label(), "TGN");
-    }
-
-    #[test]
     fn eie_degradation_is_observable() {
         let split = tiny_split(6);
         // No pre-training → no checkpoints, yet EIE requested: the silent
@@ -356,18 +301,21 @@ mod tests {
         quick(&mut cfg);
         cfg.finetune.strategy = FinetuneStrategy::Eie(EieFusion::Gru);
         let cap = cpdg_obs::capture();
-        let skips_before = cpdg_obs::metrics::counter("pipeline.eie_degraded").get();
+        let skips_before = cpdg_obs::metrics::counter("finetune.eie_degraded").get();
         let res = run_link_prediction(&split, &cfg, false);
         assert!(res.eie_degraded, "degraded EIE condition must be flagged");
         // ... and must leave a structured audit trail, not just a flag.
-        assert!(cpdg_obs::metrics::counter("pipeline.eie_degraded").get() > skips_before);
+        assert!(cpdg_obs::metrics::counter("finetune.eie_degraded").get() > skips_before);
         let warns: Vec<_> = cap
-            .records_for("core.pipeline")
+            .records_for("core.finetune")
             .into_iter()
             .filter(|r| r.level == cpdg_obs::Level::Warn && r.message.contains("degrading to Full"))
             .collect();
         assert!(!warns.is_empty());
-        assert!(warns[0].field("pipeline").is_some());
+        assert_eq!(
+            warns[0].field("strategy"),
+            Some(&cpdg_obs::Value::from("EIE-GRU"))
+        );
 
         // A genuine CPDG run with checkpoints must NOT be flagged.
         let mut cfg = PipelineConfig::cpdg(EncoderKind::Tgn).with_seed(6);

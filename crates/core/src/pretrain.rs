@@ -30,8 +30,11 @@ use crate::error::{CpdgError, CpdgResult};
 use crate::objective::CpdgObjective;
 use crate::sampler::batch::BatchSampler;
 use crate::storage::Storage;
-use cpdg_dgnn::trainer::NegativeSampler;
-use cpdg_dgnn::{train_step, DgnnEncoder, GuardConfig, LinkPredictor, MemorySnapshot, TrainGuard};
+use crate::tlp::forward_batch;
+use cpdg_dgnn::{
+    train_step, DgnnEncoder, GuardConfig, LinkPredictor, MemorySnapshot, NegativeSampler,
+    TrainGuard,
+};
 use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
 use cpdg_tensor::loss::link_prediction_loss;
 use cpdg_tensor::optim::Adam;
@@ -376,41 +379,34 @@ pub fn pretrain_resumable(
 
             tape.reset();
             let ctx = encoder.apply_pending(&mut tape, store, graph);
-
-            let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
-            let dsts: Vec<NodeId> = chunk.iter().map(|e| e.dst).collect();
-            let times: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
-            let negs: Vec<NodeId> = chunk.iter().map(|_| sampler.sample(&mut rng)).collect();
-
-            let z_src = encoder.embed_many(&mut tape, store, &ctx, graph, &srcs, &times);
-            let z_dst = encoder.embed_many(&mut tape, store, &ctx, graph, &dsts, &times);
-            let z_neg = encoder.embed_many(&mut tape, store, &ctx, graph, &negs, &times);
-
+            let batch = forward_batch(
+                &mut tape, encoder, head, store, &ctx, graph, chunk, &sampler, &mut rng, None,
+            );
             // Pretext: temporal link prediction (Eq. 16).
-            let pos_logits = head.score(&mut tape, store, z_src, z_dst);
-            let neg_logits = head.score(&mut tape, store, z_src, z_neg);
-            let tlp = link_prediction_loss(&mut tape, pos_logits, neg_logits);
+            let tlp = link_prediction_loss(&mut tape, batch.pos, batch.neg);
 
             // Contrast centres: the first occurrences of distinct sources
             // in the batch, capped at `contrast_centers`.
             let mut center_rows: Vec<usize> = Vec::new();
             let mut seen: Vec<NodeId> = Vec::new();
-            for (row, &s) in srcs.iter().enumerate() {
-                if !seen.contains(&s) {
-                    seen.push(s);
+            for (row, e) in chunk.iter().enumerate() {
+                if !seen.contains(&e.src) {
+                    seen.push(e.src);
                     center_rows.push(row);
                     if center_rows.len() >= cfg.contrast_centers {
                         break;
                     }
                 }
             }
-            let centers: Vec<(NodeId, Timestamp)> =
-                center_rows.iter().map(|&r| (srcs[r], times[r])).collect();
+            let centers: Vec<(NodeId, Timestamp)> = center_rows
+                .iter()
+                .map(|&r| (chunk[r].src, chunk[r].t))
+                .collect();
 
             let (tc_loss, sc_loss) = if centers.is_empty() {
                 (None, None)
             } else {
-                let z_centers = tape.gather_rows(z_src, &center_rows);
+                let z_centers = tape.gather_rows(batch.z_src, &center_rows);
                 let bseed = batch_seed(cfg.seed, step);
                 let tc = cfg.objective.use_tc.then(|| {
                     temporal_contrast_loss(

@@ -1,9 +1,11 @@
-//! Downstream heads: the temporal link predictor (paper Eq. 15) and the
-//! dynamic node classifier.
+//! Downstream heads: the temporal link predictor (paper Eq. 15) with its
+//! negative sampler, and the dynamic node classifier.
 
+use cpdg_graph::{DynamicGraph, NodeId};
 use cpdg_tensor::nn::{Activation, Mlp};
 use cpdg_tensor::{Forward, Matrix, ParamStore, Var};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, RngExt};
 
 /// Link-prediction head: `ŷ_{ij} = σ(MLP(z_i ‖ z_j))` (Eq. 15). The head
 /// returns *logits*; apply a sigmoid (or feed to a logits loss) downstream.
@@ -94,6 +96,33 @@ impl NodeClassifier {
     }
 }
 
+/// Uniform negative sampler over the destination universe of a graph
+/// (the standard corruption scheme for Eq. 16's non-edge set `O`).
+#[derive(Debug, Clone)]
+pub struct NegativeSampler {
+    dst_pool: Vec<NodeId>,
+}
+
+impl NegativeSampler {
+    /// Builds the sampler from the distinct destinations in `graph`.
+    pub fn from_graph(graph: &DynamicGraph) -> Self {
+        let mut pool: Vec<NodeId> = graph.events().iter().map(|e| e.dst).collect();
+        pool.sort_unstable();
+        pool.dedup();
+        Self { dst_pool: pool }
+    }
+
+    /// Draws one destination uniformly.
+    pub fn sample(&self, rng: &mut StdRng) -> NodeId {
+        self.dst_pool[rng.random_range(0..self.dst_pool.len())]
+    }
+
+    /// Size of the candidate pool.
+    pub fn pool_size(&self) -> usize {
+        self.dst_pool.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,5 +184,21 @@ mod tests {
         let z = tape.constant(Matrix::ones(3, 10));
         let logits = clf.score(&mut tape, &store, z);
         assert_eq!(tape.value(logits).shape(), (3, 1));
+    }
+
+    #[test]
+    fn negative_sampler_draws_from_dst_pool() {
+        // Users 0..10 only ever point at items 10..20.
+        let triples: Vec<_> = (0..200u32)
+            .map(|e| (e % 10, 10 + (e * 7) % 10, f64::from(e)))
+            .collect();
+        let g = cpdg_graph::graph_from_triples(20, &triples).unwrap();
+        let s = NegativeSampler::from_graph(&g);
+        assert_eq!(s.pool_size(), 10);
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..50 {
+            let d = s.sample(&mut rng);
+            assert!((d as usize) >= 10, "negatives come from the item side");
+        }
     }
 }

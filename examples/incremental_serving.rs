@@ -19,8 +19,7 @@
 use cpdg::core::pipeline::auto_time_scale;
 use cpdg::core::pretrain::{pretrain, PretrainConfig};
 use cpdg::dgnn::metrics::link_prediction_metrics;
-use cpdg::dgnn::trainer::NegativeSampler;
-use cpdg::dgnn::{DgnnConfig, DgnnEncoder, EncoderKind, LinkPredictor};
+use cpdg::dgnn::{DgnnConfig, DgnnEncoder, EncoderKind, LinkPredictor, NegativeSampler};
 use cpdg::graph::split::time_transfer;
 use cpdg::graph::{generate, NodeId, SyntheticConfig, Timestamp};
 use cpdg::tensor::{optim::Adam, ParamStore, Tape};
