@@ -518,34 +518,75 @@ mod tests {
         }
     }
 
+    /// `(AUC, AP)` on the held-out test region after fine-tuning a fresh
+    /// `kind` encoder on the planted parity rule, at the learning rate
+    /// and epochs the planted-rule tests use.
+    fn planted_rule_metrics(kind: EncoderKind, seed: u64) -> (f64, f64) {
+        let g = planted_graph(12, 12, 1200, seed);
+        let (mut store, mut enc) = fresh_encoder(kind, &g, seed);
+        let cfg = FinetuneConfig {
+            batch_size: 64,
+            epochs: 10,
+            lr: 3e-2,
+            seed,
+            ..Default::default()
+        };
+        let res = finetune_link_prediction(&mut enc, &mut store, &g, &[], &cfg, None);
+        (res.auc, res.ap)
+    }
+
+    fn beats_chance((auc, ap): (f64, f64)) -> bool {
+        auc > 0.6 && ap > 0.55
+    }
+
     #[test]
     fn fine_tuning_learns_a_planted_rule() {
         // Half of the uniform negatives share the positive's parity, so
-        // the rule caps AUC near 0.75; from a fresh init a run either
-        // finds it or stays near chance, so count the seeds that learn.
-        let learned = (1..=5u64)
-            .filter(|&seed| {
-                let g = planted_graph(12, 12, 1200, seed);
-                let (mut store, mut enc) = fresh_encoder(EncoderKind::DyRep, &g, seed);
-                let cfg = FinetuneConfig {
-                    batch_size: 64,
-                    epochs: 10,
-                    lr: 3e-2,
-                    seed,
-                    ..Default::default()
-                };
-                let res = finetune_link_prediction(&mut enc, &mut store, &g, &[], &cfg, None);
-                res.auc > 0.6 && res.ap > 0.55
+        // the rule caps AUC near 0.75. From a fresh init a run either
+        // finds it or stays near chance (see
+        // `every_seed_learns_the_planted_rule`), so each backbone must
+        // learn on at least half of seeds 1-10; at this learning rate
+        // DyRep learns on 9, JODIE on 7 and TGN on 5.
+        for kind in EncoderKind::all() {
+            let learned = (1..=10u64)
+                .filter(|&seed| beats_chance(planted_rule_metrics(kind, seed)))
+                .count();
+            assert!(
+                learned >= 5,
+                "{kind:?}: only {learned} of 10 seeds beat chance"
+            );
+        }
+    }
+
+    #[test]
+    #[ignore = "fails: a fresh encoder stays at chance on some seeds (ROADMAP item 11)"]
+    fn every_seed_learns_the_planted_rule() {
+        let missed: Vec<(EncoderKind, Vec<u64>)> = EncoderKind::all()
+            .into_iter()
+            .map(|kind| {
+                let seeds = (1..=10u64)
+                    .filter(|&seed| !beats_chance(planted_rule_metrics(kind, seed)))
+                    .collect();
+                (kind, seeds)
             })
-            .count();
-        assert!(learned >= 3, "only {learned} of 5 seeds beat chance");
+            .filter(|(_, seeds): &(_, Vec<u64>)| !seeds.is_empty())
+            .collect();
+        assert!(missed.is_empty(), "seeds left at chance: {missed:?}");
     }
 
     #[test]
     fn fine_tuning_trains_parameters_and_is_seed_deterministic() {
         let g = planted_graph(10, 10, 400, 3);
-        let bits = |store: &ParamStore| crate::codec::to_bytes(store);
-        let initial = bits(&fresh_encoder(EncoderKind::Tgn, &g, 7).0);
+        let initial = fresh_encoder(EncoderKind::Tgn, &g, 7).0;
+        // The encoder's parameters, value by value. Fine-tuning registers
+        // its head after them, so the fresh store's ids name exactly the
+        // encoder's parameters in the fine-tuned store too.
+        let encoder_bits = |store: &ParamStore| -> Vec<Vec<u32>> {
+            initial
+                .ids()
+                .map(|id| store.value(id).data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
         let run = |seed: u64| {
             let (mut store, mut enc) = fresh_encoder(EncoderKind::Tgn, &g, 7);
             let cfg = FinetuneConfig {
@@ -553,20 +594,22 @@ mod tests {
                 ..quick_cfg()
             };
             let res = finetune_link_prediction(&mut enc, &mut store, &g, &[], &cfg, None);
-            (bits(&store), res.auc.to_bits(), res.val_auc.to_bits())
+            assert!(initial.ids().all(|id| store.name(id) == initial.name(id)));
+            (
+                encoder_bits(&store),
+                res.auc.to_bits(),
+                res.val_auc.to_bits(),
+            )
         };
+        let before = encoder_bits(&initial);
         let first = run(5);
         assert_eq!(run(5), first, "same seed, same parameters and metrics");
-        assert_ne!(
-            first.0[..initial.len()],
-            initial[..],
-            "training moved parameters"
-        );
-        assert_ne!(
-            run(6).0,
-            first.0,
-            "the seed drives the negatives and the head"
-        );
+        for (id, (a, b)) in initial.ids().zip(before.iter().zip(&first.0)) {
+            assert_ne!(a, b, "training left {} unchanged", initial.name(id));
+        }
+        // The seed draws the head's initialisation and the negatives; both
+        // reach the encoder only through training.
+        assert_ne!(run(6).0, first.0, "the seed changes the trained encoder");
     }
 
     #[test]

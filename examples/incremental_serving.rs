@@ -18,11 +18,12 @@
 
 use cpdg::core::pipeline::auto_time_scale;
 use cpdg::core::pretrain::{pretrain, PretrainConfig};
+use cpdg::core::tlp::forward_batch;
 use cpdg::dgnn::metrics::link_prediction_metrics;
 use cpdg::dgnn::{DgnnConfig, DgnnEncoder, EncoderKind, LinkPredictor, NegativeSampler};
 use cpdg::graph::split::time_transfer;
-use cpdg::graph::{generate, NodeId, SyntheticConfig, Timestamp};
-use cpdg::tensor::{optim::Adam, ParamStore, Tape};
+use cpdg::graph::{generate, SyntheticConfig};
+use cpdg::tensor::{optim::Adam, Eval, Forward, ParamStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,22 +71,14 @@ fn main() {
         "window", "events", "AUC", "memory rms"
     );
     for (w, chunk) in live.events().chunks(per_window).enumerate() {
-        let mut tape = Tape::new();
-        let ctx = encoder.apply_pending(&mut tape, &store, live);
+        let mut ev = Eval::new();
+        let ctx = encoder.apply_pending(&mut ev, &store, live);
+        let b = forward_batch(
+            &mut ev, &encoder, &head, &store, &ctx, live, chunk, &sampler, &mut srng, None,
+        );
+        let (auc, _) = link_prediction_metrics(ev.value(b.pos).data(), ev.value(b.neg).data());
 
-        let srcs: Vec<NodeId> = chunk.iter().map(|e| e.src).collect();
-        let dsts: Vec<NodeId> = chunk.iter().map(|e| e.dst).collect();
-        let times: Vec<Timestamp> = chunk.iter().map(|e| e.t).collect();
-        let negs: Vec<NodeId> = chunk.iter().map(|_| sampler.sample(&mut srng)).collect();
-
-        let z_src = encoder.embed_many(&mut tape, &store, &ctx, live, &srcs, &times);
-        let z_dst = encoder.embed_many(&mut tape, &store, &ctx, live, &dsts, &times);
-        let z_neg = encoder.embed_many(&mut tape, &store, &ctx, live, &negs, &times);
-        let pos = head.score(&mut tape, &store, z_src, z_dst);
-        let neg = head.score(&mut tape, &store, z_src, z_neg);
-        let (auc, _) = link_prediction_metrics(tape.value(pos).data(), tape.value(neg).data());
-
-        encoder.commit(&tape, ctx, chunk);
+        encoder.commit(&ev, ctx, chunk);
         println!(
             "{:<8} {:>8} {:>9.4} {:>12.4}",
             format!("#{}", w + 1),
