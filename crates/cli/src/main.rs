@@ -111,8 +111,9 @@ started.
 Continual pre-training: --continual (requires --wal-dir and
 --epoch-dir; refused with --ingest, exit 2) runs a supervised trainer
 beside serving. It slices the acknowledged stream into overlapping
-windows (--train-window span, --train-stride step), runs cross-window
-contrastive updates in a private parameter store, and every
+windows (--train-window span, --train-stride step), runs CPDG's
+pre-training step (Eq. 17) once per window, training the encoder and
+the link head in a private parameter store, and every
 --train-cadence-ms emits a CRC-sealed candidate epoch under
 --epoch-dir. A candidate serves only after the validation gate passes
 (finite parameters; held-out loss within --train-gate x the serving

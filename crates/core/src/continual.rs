@@ -1,17 +1,17 @@
 //! Streaming continual pre-training: overlapping time-window slicing, a
-//! windowed cross-window contrastive trainer, candidate-epoch emission,
-//! and the validation gate that decides whether a candidate may be
-//! promoted into serving.
+//! windowed trainer that runs CPDG's own objective, candidate-epoch
+//! emission, and the validation gate that decides whether a candidate may
+//! be promoted into serving.
 //!
-//! The design follows CLDG's observation that timespan-sliced views of a
-//! dynamic graph are strong contrastive pairs: the live event stream (the
-//! serving engine's WAL, replayed into its in-memory graph — the two are
-//! bit-identical by the recovery oracle) is sliced into overlapping time
-//! windows, and the embeddings of a node at the ends of two *adjacent*
-//! windows are treated as a positive pair while other nodes from the later
-//! window are negatives — the same triplet-margin InfoNCE shape
-//! [`crate::contrast`] uses for the paper's offline objective (Eqs.
-//! 11/14).
+//! The live event stream (the serving engine's WAL, replayed into its
+//! in-memory graph — the two are bit-identical by the recovery oracle) is
+//! sliced into overlapping time windows. Each trained window's new events
+//! are one batch of the offline pre-training step,
+//! [`crate::pretrain::cpdg_step`]: TLP + (1−β)·TC + β·SC (paper Eq. 17).
+//! The link head trains with the encoder, so the held-out TLP loss the
+//! gate compares is a term the trainer optimises. The windows place the
+//! held-out slice: no trained window reaches into it, and the step's
+//! samplers are built from the events before it.
 //!
 //! Robustness contract (the reason this module exists at all):
 //!
@@ -30,18 +30,16 @@
 use crate::chaos::{FaultHook, FaultPoint};
 use crate::error::{CpdgError, CpdgResult};
 use crate::model_io::ModelFile;
+use crate::pretrain::{cpdg_step, PretrainConfig, StepSamplers};
 use crate::storage::Storage;
 use crate::tlp::score_stream;
-use cpdg_dgnn::{
-    train_step, DgnnConfig, DgnnEncoder, GuardConfig, LinkPredictor, NegativeSampler, TrainGuard,
-};
-use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
-use cpdg_tensor::loss::triplet_margin;
+use cpdg_dgnn::{DgnnConfig, DgnnEncoder, GuardConfig, LinkPredictor, NegativeSampler, TrainGuard};
+use cpdg_graph::split::subgraph_where;
+use cpdg_graph::{DynamicGraph, Timestamp};
 use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::path::Path;
 
 /// Hard cap on the number of windows one slicing call may produce — a
@@ -246,16 +244,11 @@ pub struct GateReport {
 pub struct ContinualConfig {
     /// Window geometry for slicing the stream.
     pub window: WindowConfig,
-    /// Cap on the number of shared nodes contrasted per window pair.
-    pub batch_cap: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Global gradient-norm clip.
-    pub grad_clip: f32,
-    /// Triplet margin for the cross-window contrastive loss.
-    pub margin: f32,
     /// Seed for everything stochastic (parameter init tie-break order,
-    /// held-out negative sampling).
+    /// the step's negatives and contrast subgraphs, held-out negative
+    /// sampling).
     pub seed: u64,
     /// Divergence watchdog policy.
     pub guard: GuardConfig,
@@ -272,10 +265,7 @@ impl Default for ContinualConfig {
                 span: 16.0,
                 stride: 8.0,
             },
-            batch_cap: 64,
             lr: 1e-3,
-            grad_clip: 5.0,
-            margin: 1.0,
             seed: 0,
             guard: GuardConfig::default(),
             min_events: 32,
@@ -289,10 +279,9 @@ impl Default for ContinualConfig {
 pub struct CycleReport {
     /// Windows the stream was sliced into.
     pub windows: usize,
-    /// Window-pair contrastive steps whose update was applied.
+    /// Window steps whose update was applied.
     pub steps: usize,
-    /// Steps the guard skipped (poisoned loss/gradient) or that had too
-    /// few shared nodes to contrast.
+    /// Window steps the guard skipped (poisoned loss/gradient).
     pub skipped: usize,
     /// Mean loss over applied steps (NaN when none were applied).
     pub mean_loss: f32,
@@ -301,16 +290,17 @@ pub struct CycleReport {
     pub holdout_from: usize,
 }
 
-/// The windowed cross-window contrastive trainer. Owns its own parameter
-/// store (initialised from a [`ModelFile`], typically the serving epoch),
-/// so a diverging or crashing trainer can never corrupt serving state —
-/// its only output is a sealed candidate file.
+/// The windowed CPDG trainer. Owns its own parameter store (initialised
+/// from a [`ModelFile`], typically the serving epoch), so a diverging or
+/// crashing trainer can never corrupt serving state — its only output is
+/// a sealed candidate file.
 pub struct ContinualTrainer {
     cfg: ContinualConfig,
     encoder_cfg: DgnnConfig,
     num_nodes: usize,
     store: ParamStore,
     encoder: DgnnEncoder,
+    head: LinkPredictor,
     opt: Adam,
     guard: TrainGuard,
     checkpoints: Vec<cpdg_dgnn::MemorySnapshot>,
@@ -325,13 +315,6 @@ impl ContinualTrainer {
     /// the encoder `model`'s config builds refuses `source` as corrupt.
     pub fn from_model(model: &ModelFile, source: &Path, cfg: ContinualConfig) -> CpdgResult<Self> {
         cfg.window.validate()?;
-        if cfg.batch_cap < 2 {
-            return Err(CpdgError::Invalid(format!(
-                "continual batch cap must be at least 2 (one positive and \
-                 one negative), got {}",
-                cfg.batch_cap
-            )));
-        }
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut encoder = DgnnEncoder::new(
@@ -341,9 +324,10 @@ impl ContinualTrainer {
             model.num_nodes,
             model.encoder_config.clone(),
         );
-        // Registers the `pretext_head.*` parameters, so candidate files
-        // carry the serving head (this trainer never scores links itself).
-        let _head = LinkPredictor::new(&mut store, &mut rng, "pretext_head", encoder.dim());
+        // The `pretext_head.*` parameters train with the encoder and ship
+        // in every candidate: serving scores links with them and the gate
+        // judges them.
+        let head = LinkPredictor::new(&mut store, &mut rng, "pretext_head", encoder.dim());
         let loaded = store
             .load_matching(&model.params)
             .map_err(|e| CpdgError::corrupt(source, e.to_string()))?;
@@ -364,24 +348,26 @@ impl ContinualTrainer {
             cfg,
             store,
             encoder,
+            head,
             step: 0,
             windows_trained: 0,
         })
     }
 
-    /// Total window-pair steps applied over the trainer's lifetime.
+    /// Total window steps applied over the trainer's lifetime.
     pub fn windows_trained(&self) -> u64 {
         self.windows_trained
     }
 
     /// One full training cycle over a stream snapshot: slice into windows,
-    /// replay chronologically, and for each adjacent window pair run one
-    /// guarded contrastive step treating cross-window embeddings of the
-    /// same node as positives. The held-out slice runs from the start of
-    /// the final window (`holdout_from`) to the end of the stream; no
-    /// window reaching into it is trained on and none of its events is
-    /// committed, so the gate has a slice to score. With at least three
-    /// windows that slice is never empty.
+    /// replay chronologically, and run one guarded CPDG step
+    /// ([`cpdg_step`]) per trained window on the events it adds. The
+    /// held-out slice runs from the start of the final window
+    /// (`holdout_from`) to the end of the stream; no window reaching into
+    /// it is trained on, none of its events is committed, and the step's
+    /// samplers draw from a graph of the events before it, so the gate has
+    /// a slice training never read. With at least three windows that slice
+    /// is never empty.
     ///
     /// Failure modes are all typed: a fired `trainer.step` fault aborts
     /// the cycle with [`CpdgError::Fault`]; guard divergence surfaces as
@@ -415,62 +401,50 @@ impl ContinualTrainer {
             .find(|&lo| lo < events.len())
             .unwrap_or(events.len());
         let trained = windows.partition_point(|w| w.hi <= holdout_from);
+        let seen = subgraph_where(graph, |e| e.idx < holdout_from)
+            .map_err(|e| CpdgError::Invalid(e.to_string()))?;
+        let samplers = StepSamplers::new(&seen);
+        let step_cfg = PretrainConfig {
+            seed: self.cfg.seed,
+            ..PretrainConfig::default()
+        };
         self.encoder.reset_state();
         let mut committed = 0usize;
         let mut steps = 0usize;
         let mut skipped = 0usize;
         let mut total = 0.0f64;
         let mut tape = Tape::new();
-        for k in 1..trained {
-            hook.check(FaultPoint::TrainerStep)
-                .map_err(|f| CpdgError::Fault {
-                    point: FaultPoint::TrainerStep.name().to_string(),
-                    reason: f.to_string(),
-                })?;
-            let (wa, wb) = (&windows[k - 1], &windows[k]);
-            let chunk = &events[committed..wb.hi.max(committed)];
-            let shared = shared_nodes(events, wa, wb, self.cfg.batch_cap);
-            if shared.len() < 2 {
-                // Nothing to contrast: still advance memory through the
-                // chunk, forward-only, so later windows see a current state.
-                let states = self.encoder.pending_states(&self.store, graph);
-                self.encoder.commit_states(states, chunk);
-                committed = wb.hi.max(committed);
-                skipped += 1;
-                continue;
+        for w in &windows[..trained] {
+            if w.hi <= committed {
+                continue; // the window adds no events
             }
-            tape.reset();
-            let ctx = self.encoder.apply_pending(&mut tape, &self.store, graph);
-            let times_a: Vec<Timestamp> = shared.iter().map(|_| wa.end).collect();
-            let times_b: Vec<Timestamp> = shared.iter().map(|_| wb.end).collect();
-            let z_a =
-                self.encoder
-                    .embed_many(&mut tape, &self.store, &ctx, graph, &shared, &times_a);
-            let z_b =
-                self.encoder
-                    .embed_many(&mut tape, &self.store, &ctx, graph, &shared, &times_b);
-            // Negatives: the later-window embeddings rotated by one row,
-            // so each anchor is pushed away from a *different* node's
-            // cross-window view.
-            let rot: Vec<usize> = (0..shared.len()).map(|i| (i + 1) % shared.len()).collect();
-            let z_neg = tape.gather_rows(z_b, &rot);
-            let loss = triplet_margin(&mut tape, z_a, z_b, z_neg, self.cfg.margin);
-            let guard = Some((&mut self.guard, self.step));
-            match train_step(&mut tape, loss, self.cfg.grad_clip, guard) {
-                Ok(Some(update)) => {
-                    total += f64::from(tape.value(loss).get(0, 0));
+            hook.check(FaultPoint::TrainerStep)?;
+            let chunk = &seen.events()[committed..w.hi];
+            let out = cpdg_step(
+                &mut tape,
+                &self.encoder,
+                &self.head,
+                &self.store,
+                &samplers,
+                chunk,
+                self.step,
+                &step_cfg,
+                &mut self.guard,
+            );
+            match out.verdict? {
+                Some(update) => {
+                    total += f64::from(out.losses.total);
                     steps += 1;
                     update.apply(&mut self.opt, &mut self.store);
-                    self.encoder.commit(&tape, ctx, chunk);
+                    self.encoder.commit(&tape, out.ctx, chunk);
                     self.windows_trained += 1;
                 }
-                Ok(None) => {
+                None => {
                     self.encoder.skip_commit(chunk);
                     skipped += 1;
                 }
-                Err(report) => return Err(CpdgError::Diverged(report)),
             }
-            committed = wb.hi.max(committed);
+            committed = w.hi;
             self.step += 1;
         }
         Ok(CycleReport {
@@ -486,48 +460,24 @@ impl ContinualTrainer {
         })
     }
 
+    /// The trainer's current parameters as a model file.
+    fn candidate(&self) -> ModelFile {
+        ModelFile::new(
+            self.encoder_cfg.clone(),
+            self.num_nodes,
+            self.store.clone(),
+            self.checkpoints.clone(),
+        )
+    }
+
     /// Publishes the trainer's current parameters as a candidate epoch at
     /// `path` — an ordinary [`ModelFile`] written through the CRC-sealed
     /// atomic save, so the file either exists whole or not at all. A
     /// fired `trainer.emit` fault aborts before any bytes are written.
     pub fn emit_candidate(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
-        storage
-            .hook()
-            .check(FaultPoint::TrainerEmit)
-            .map_err(|f| CpdgError::Fault {
-                point: FaultPoint::TrainerEmit.name().to_string(),
-                reason: f.to_string(),
-            })?;
-        let model = ModelFile::new(
-            self.encoder_cfg.clone(),
-            self.num_nodes,
-            self.store.clone(),
-            self.checkpoints.clone(),
-        );
-        model.save_with(storage, path)
+        storage.hook().check(FaultPoint::TrainerEmit)?;
+        self.candidate().save_with(storage, path)
     }
-}
-
-/// Shared endpoints of two windows, sorted and capped deterministically.
-fn shared_nodes(
-    events: &[cpdg_graph::Interaction],
-    a: &EventWindow,
-    b: &EventWindow,
-    cap: usize,
-) -> Vec<NodeId> {
-    let in_a: HashSet<NodeId> = events[a.lo..a.hi]
-        .iter()
-        .flat_map(|e| e.endpoints())
-        .collect();
-    let mut shared: Vec<NodeId> = events[b.lo..b.hi]
-        .iter()
-        .flat_map(|e| e.endpoints())
-        .filter(|n| in_a.contains(n))
-        .collect();
-    shared.sort_unstable();
-    shared.dedup();
-    shared.truncate(cap);
-    shared
 }
 
 /// Whether every parameter value in `model` is finite.
@@ -667,6 +617,7 @@ mod tests {
     use crate::chaos::{FaultKind, FaultPlan, Trigger};
     use crate::storage::FS_STORAGE;
     use cpdg_dgnn::EncoderKind;
+    use cpdg_graph::NodeId;
     use std::path::PathBuf;
 
     const NODES: usize = 12;
@@ -689,8 +640,8 @@ mod tests {
         ModelFile::new(cfg, NODES, store, Vec::new())
     }
 
-    /// A stream with enough cross-window node recurrence to contrast:
-    /// node pairs cycle over a fixed rotation, one event per time unit.
+    /// A stream with a rule to learn: node pairs cycle over a fixed
+    /// rotation, one event per time unit.
     fn stream_graph(n_events: usize) -> DynamicGraph {
         let mut g = DynamicGraph::empty(NODES);
         for i in 0..n_events {
@@ -808,7 +759,7 @@ mod tests {
         let mut trainer = trainer_from(&model, trainer_cfg());
         let hook = FaultHook::none();
         let report = trainer.train_cycle(&graph, &hook).unwrap();
-        assert!(report.steps > 0, "no contrastive steps ran: {report:?}");
+        assert!(report.steps > 0, "no window steps ran: {report:?}");
         assert!(report.mean_loss.is_finite());
         assert!(
             report.holdout_from < graph.events().len(),
@@ -851,14 +802,14 @@ mod tests {
         let last = windows.last().unwrap();
         assert!(windows.len() >= 3 && last.lo < times.len());
         assert_eq!(report.holdout_from, last.lo, "{report:?}");
-        // One step, applied or skipped, per adjacent pair of the windows
-        // that end at or before the held-out slice.
+        // One step, applied or skipped, per window that ends at or before
+        // the held-out slice (each adds events on this stream).
         let trained = windows
             .iter()
             .filter(|w| w.hi <= report.holdout_from)
             .count();
         assert!(trained >= 2 && report.steps > 0, "{report:?}");
-        assert_eq!(report.steps + report.skipped, trained - 1);
+        assert_eq!(report.steps + report.skipped, trained);
         let gate = GateConfig::default();
         let verdict =
             validate_candidate(&model, &model, &graph, report.holdout_from, &gate, 7).unwrap();
@@ -866,6 +817,109 @@ mod tests {
             verdict.scored >= gate.min_holdout,
             "the loss leg ran: {verdict:?}"
         );
+    }
+
+    /// Two streams that agree before the held-out slice and differ inside
+    /// it (same times; other nodes, two of them absent before it) train
+    /// byte-identical candidates: no held-out event, and no node only the
+    /// slice names, reaches the step or its samplers.
+    #[test]
+    fn held_out_slice_never_reaches_training() {
+        let cfg = trainer_cfg();
+        let times: Vec<Timestamp> = (0..120).map(|i| i as f64).collect();
+        let holdout = slice_windows(&times, &cfg.window)
+            .unwrap()
+            .last()
+            .unwrap()
+            .lo;
+        let stream = |held_out: fn(usize) -> (NodeId, NodeId)| {
+            let mut g = DynamicGraph::empty(NODES);
+            for (i, &t) in times.iter().enumerate() {
+                let (src, dst) = if i < holdout {
+                    ((i % 5) as NodeId, (5 + i % 5) as NodeId)
+                } else {
+                    held_out(i)
+                };
+                g.push_event(src, dst, t, 0).unwrap();
+            }
+            g
+        };
+        let same = stream(|i| ((i % 5) as NodeId, (5 + i % 5) as NodeId));
+        let other = stream(|i| (10 + (i % 2) as NodeId, (i % 10) as NodeId));
+        let model = base_model(3);
+        let dir = test_dir("isolation");
+        let run = |graph: &DynamicGraph, name: &str| {
+            let mut trainer = trainer_from(&model, cfg.clone());
+            let report = trainer.train_cycle(graph, &FaultHook::none()).unwrap();
+            let path = dir.join(name);
+            trainer.emit_candidate(&FS_STORAGE, &path).unwrap();
+            (report, std::fs::read(path).unwrap())
+        };
+        let (report_a, bytes_a) = run(&same, "a.json");
+        let (report_b, bytes_b) = run(&other, "b.json");
+        assert_eq!(report_a.holdout_from, holdout);
+        assert!(report_a.steps > 0, "{report_a:?}");
+        assert_eq!(report_a, report_b);
+        assert!(
+            bytes_a == bytes_b,
+            "the held-out slice changed the candidate"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The trainer optimises the loss term the gate judges: on the rotation
+    /// stream, one cycle's candidate scores a lower held-out TLP loss than
+    /// the serving epoch it started from, on a majority of seeds 1–10.
+    #[test]
+    fn candidates_learn_the_stream() {
+        let graph = stream_graph(120);
+        let learned: Vec<u64> = (1..=10u64)
+            .filter(|&seed| {
+                let model = base_model(seed);
+                let cfg = ContinualConfig {
+                    seed,
+                    ..trainer_cfg()
+                };
+                let mut trainer = trainer_from(&model, cfg);
+                let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
+                let from = report.holdout_from;
+                let (candidate, _) =
+                    holdout_loss(&trainer.candidate(), &graph, from, seed).unwrap();
+                let (serving, _) = holdout_loss(&model, &graph, from, seed).unwrap();
+                candidate < serving
+            })
+            .collect();
+        assert!(
+            learned.len() > 5,
+            "candidates beat their serving epoch on seeds {learned:?} only"
+        );
+    }
+
+    /// Windows inside a quiet stretch of the stream add no events: they
+    /// take no step, so the guard never sees an empty batch.
+    #[test]
+    fn windows_without_new_events_take_no_step() {
+        let mut graph = DynamicGraph::empty(NODES);
+        for i in 0..120 {
+            let t = if i < 60 { i as f64 } else { i as f64 + 100.0 };
+            let (src, dst) = (i % 6, 6 + i % 6);
+            graph
+                .push_event(src as NodeId, dst as NodeId, t, 0)
+                .unwrap();
+        }
+        let cfg = trainer_cfg();
+        let mut trainer = trainer_from(&base_model(3), cfg.clone());
+        let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
+        let times: Vec<Timestamp> = graph.events().iter().map(|e| e.t).collect();
+        let windows = slice_windows(&times, &cfg.window).unwrap();
+        let trained = &windows[..windows.partition_point(|w| w.hi <= report.holdout_from)];
+        let adding = trained
+            .iter()
+            .enumerate()
+            .filter(|&(k, w)| k == 0 || w.hi > trained[k - 1].hi)
+            .count();
+        assert!(adding < trained.len(), "the gap leaves windows empty");
+        assert_eq!((report.steps, report.skipped), (adding, 0), "{report:?}");
     }
 
     #[test]

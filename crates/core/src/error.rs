@@ -5,6 +5,7 @@
 //! process exit code) can distinguish "the disk failed" from "the model
 //! file is corrupt" from "training diverged".
 
+use crate::chaos::Fault;
 use cpdg_dgnn::DivergenceReport;
 use cpdg_graph::loader::LoadError;
 use std::fmt;
@@ -249,6 +250,15 @@ impl From<LoadError> for CpdgError {
                 CpdgError::ResourceLimit { what, limit, seen }
             }
             other => CpdgError::Data(other),
+        }
+    }
+}
+
+impl From<Fault> for CpdgError {
+    fn from(f: Fault) -> Self {
+        CpdgError::Fault {
+            point: f.point.name().to_string(),
+            reason: f.to_string(),
         }
     }
 }

@@ -15,6 +15,9 @@
 //!   every N steps through crash-safe atomic writes so an interrupted run
 //!   continues from its newest valid checkpoint.
 //!
+//! Both run [`cpdg_step`], the one place Eq. 17 is assembled; the
+//! continual trainer ([`crate::continual`]) runs it once per window.
+//!
 //! Resume determinism: instead of one RNG threaded through the whole run,
 //! each batch derives its RNG from `(cfg.seed, global step)`, so a resumed
 //! run samples exactly the negatives/contrast paths the uninterrupted run
@@ -32,13 +35,13 @@ use crate::sampler::batch::BatchSampler;
 use crate::storage::Storage;
 use crate::tlp::forward_batch;
 use cpdg_dgnn::{
-    train_step, DgnnEncoder, GuardConfig, LinkPredictor, MemorySnapshot, NegativeSampler,
-    TrainGuard,
+    train_step, BatchContext, DgnnEncoder, DivergenceReport, GuardConfig, LinkPredictor,
+    MemorySnapshot, NegativeSampler, TrainGuard, Update,
 };
-use cpdg_graph::{DynamicGraph, NodeId, Timestamp};
+use cpdg_graph::{DynamicGraph, Interaction, NodeId, Timestamp};
 use cpdg_tensor::loss::link_prediction_loss;
 use cpdg_tensor::optim::Adam;
-use cpdg_tensor::{ParamStore, Tape};
+use cpdg_tensor::{ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -161,10 +164,122 @@ fn batch_seed(seed: u64, step: usize) -> u64 {
     seed ^ (step as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The per-batch RNG: a deterministic function of the run seed and the
-/// global step, so resumed runs replay the exact sampling sequence.
-fn batch_rng(seed: u64, step: usize) -> StdRng {
-    StdRng::seed_from_u64(batch_seed(seed, step))
+/// The training graph of a pre-training loop and the samplers its steps
+/// draw from, built once per loop: the TLP negatives (Eq. 16), the
+/// contrast-subgraph sampler (Eqs. 9–14) and SC's negative pool. Every
+/// draw of a [`cpdg_step`] reads this graph and nothing else.
+pub struct StepSamplers<'g> {
+    graph: &'g DynamicGraph,
+    negatives: NegativeSampler,
+    contrast: BatchSampler<'g>,
+    pool: Vec<NodeId>,
+}
+
+impl<'g> StepSamplers<'g> {
+    /// The samplers over `graph`.
+    pub fn new(graph: &'g DynamicGraph) -> Self {
+        Self {
+            graph,
+            negatives: NegativeSampler::from_graph(graph),
+            contrast: BatchSampler::new(graph),
+            pool: graph.active_nodes(),
+        }
+    }
+}
+
+/// What one [`cpdg_step`] hands back. The caller applies the update, then
+/// commits `ctx` for the batch (or skips the commit when the guard
+/// skipped the step).
+#[must_use = "a step writes nothing until its update is applied and its batch committed"]
+pub struct CpdgStep {
+    /// The batch's pending-memory application.
+    pub ctx: BatchContext,
+    /// The step's loss terms; a disabled or centre-less term reads 0.
+    pub losses: LossBreakdown,
+    /// [`train_step`]'s verdict under the caller's guard.
+    pub verdict: Result<Option<Update>, DivergenceReport>,
+}
+
+/// One CPDG pre-training step (paper Eq. 17) on `chunk`, the batch of
+/// global step `step`: apply the pending memory, run the TLP batch (Eq.
+/// 16), take the first occurrences of distinct sources as contrast centres
+/// (at most `cfg.contrast_centers`), add TC (Eqs. 9–11) and SC (Eqs.
+/// 12–14) as `cfg.objective` enables them, combine, then backward, clip
+/// and ask `guard` through [`train_step`]. All sampling derives from
+/// `(cfg.seed, step)`, so a resumed loop replays the same draws.
+#[allow(clippy::too_many_arguments)]
+pub fn cpdg_step(
+    tape: &mut Tape,
+    encoder: &DgnnEncoder,
+    head: &LinkPredictor,
+    store: &ParamStore,
+    samplers: &StepSamplers<'_>,
+    chunk: &[Interaction],
+    step: usize,
+    cfg: &PretrainConfig,
+    guard: &mut TrainGuard,
+) -> CpdgStep {
+    let StepSamplers {
+        graph,
+        negatives,
+        contrast,
+        pool,
+    } = samplers;
+    let bseed = batch_seed(cfg.seed, step);
+    let mut rng = StdRng::seed_from_u64(bseed);
+
+    tape.reset();
+    let ctx = encoder.apply_pending(tape, store, graph);
+    let batch = forward_batch(
+        tape, encoder, head, store, &ctx, graph, chunk, negatives, &mut rng, None,
+    );
+    let tlp = link_prediction_loss(tape, batch.pos, batch.neg);
+
+    let mut center_rows: Vec<usize> = Vec::new();
+    for (row, e) in chunk.iter().enumerate() {
+        if !center_rows.iter().any(|&r| chunk[r].src == e.src) {
+            center_rows.push(row);
+            if center_rows.len() >= cfg.contrast_centers {
+                break;
+            }
+        }
+    }
+    let centers: Vec<(NodeId, Timestamp)> = center_rows
+        .iter()
+        .map(|&r| (chunk[r].src, chunk[r].t))
+        .collect();
+
+    let (tc, sc) = if centers.is_empty() {
+        (None, None)
+    } else {
+        let z_centers = tape.gather_rows(batch.z_src, &center_rows);
+        let tc = cfg.objective.use_tc.then(|| {
+            temporal_contrast_loss(
+                tape, encoder, store, contrast, &centers, z_centers, &cfg.tc, bseed,
+            )
+        });
+        let sc_seed = bseed ^ SC_STREAM_SALT;
+        let sc = cfg.objective.use_sc.then(|| {
+            structural_contrast_loss(
+                tape, encoder, store, contrast, &centers, z_centers, pool, &cfg.sc, sc_seed,
+            )
+        });
+        (tc, sc)
+    };
+    let total = cfg.objective.combine(tape, tlp, tc, sc);
+
+    let verdict = train_step(tape, total, cfg.grad_clip, Some((guard, step)));
+    let read = |v: Option<Var>| v.map(|v| tape.value(v).get(0, 0)).unwrap_or(0.0);
+    CpdgStep {
+        ctx,
+        losses: LossBreakdown {
+            tlp: read(Some(tlp)),
+            tc: read(tc),
+            sc: read(sc),
+            total: read(Some(total)),
+        },
+        verdict,
+    }
 }
 
 /// Pre-trains `(encoder, head)` with the CPDG objective over `graph`.
@@ -217,9 +332,7 @@ pub fn pretrain_resumable(
     cfg: &PretrainConfig,
     runtime: &PretrainRuntime<'_>,
 ) -> CpdgResult<PretrainOutput> {
-    let sampler = NegativeSampler::from_graph(graph);
-    let negative_pool: Vec<NodeId> = graph.active_nodes();
-    let contrast_sampler = BatchSampler::new(graph);
+    let samplers = StepSamplers::new(graph);
 
     let batch_size = cfg.batch_size.max(1);
     let n_batches = graph.events().chunks(batch_size).count();
@@ -265,6 +378,27 @@ pub fn pretrain_resumable(
     let mut sums = LossBreakdown::default();
     let mut batches = 0usize;
     let mut resumed = false;
+
+    // The run's state as a checkpoint: the signal, periodic and terminal
+    // saves differ only in the epoch and the partial loss sums.
+    macro_rules! checkpoint {
+        ($epoch:expr, $sums:expr, $batches:expr) => {
+            TrainCheckpoint {
+                version: CHECKPOINT_VERSION,
+                step,
+                epoch: $epoch,
+                next_cp,
+                params: store.clone(),
+                opt: opt.clone(),
+                encoder: encoder.export_state(),
+                guard: guard.clone(),
+                eie_checkpoints: checkpoints.clone(),
+                epoch_losses: epoch_losses.clone(),
+                partial_sums: $sums,
+                partial_batches: $batches,
+            }
+        };
+    }
 
     if runtime.resume {
         let dir = runtime
@@ -348,20 +482,7 @@ pub fn pretrain_resumable(
                     // is best-effort ordered before the return so `--resume`
                     // continues from this exact batch boundary.
                     if let Some(mgr) = &manager {
-                        mgr.save(&TrainCheckpoint {
-                            version: CHECKPOINT_VERSION,
-                            step,
-                            epoch,
-                            next_cp,
-                            params: store.clone(),
-                            opt: opt.clone(),
-                            encoder: encoder.export_state(),
-                            guard: guard.clone(),
-                            eie_checkpoints: checkpoints.clone(),
-                            epoch_losses: epoch_losses.clone(),
-                            partial_sums: sums,
-                            partial_batches: batches,
-                        })?;
+                        mgr.save(&checkpoint!(epoch, sums, batches))?;
                     }
                     cpdg_obs::info!(
                         "core.pretrain",
@@ -375,87 +496,24 @@ pub fn pretrain_resumable(
             }
             let _step_timer = cpdg_obs::span("pretrain.step_us");
             consult(FaultPoint::SamplerBatch)?;
-            let mut rng = batch_rng(cfg.seed, step);
-
-            tape.reset();
-            let ctx = encoder.apply_pending(&mut tape, store, graph);
-            let batch = forward_batch(
-                &mut tape, encoder, head, store, &ctx, graph, chunk, &sampler, &mut rng, None,
+            let out = cpdg_step(
+                &mut tape, encoder, head, store, &samplers, chunk, step, cfg, &mut guard,
             );
-            // Pretext: temporal link prediction (Eq. 16).
-            let tlp = link_prediction_loss(&mut tape, batch.pos, batch.neg);
-
-            // Contrast centres: the first occurrences of distinct sources
-            // in the batch, capped at `contrast_centers`.
-            let mut center_rows: Vec<usize> = Vec::new();
-            let mut seen: Vec<NodeId> = Vec::new();
-            for (row, e) in chunk.iter().enumerate() {
-                if !seen.contains(&e.src) {
-                    seen.push(e.src);
-                    center_rows.push(row);
-                    if center_rows.len() >= cfg.contrast_centers {
-                        break;
-                    }
-                }
-            }
-            let centers: Vec<(NodeId, Timestamp)> = center_rows
-                .iter()
-                .map(|&r| (chunk[r].src, chunk[r].t))
-                .collect();
-
-            let (tc_loss, sc_loss) = if centers.is_empty() {
-                (None, None)
-            } else {
-                let z_centers = tape.gather_rows(batch.z_src, &center_rows);
-                let bseed = batch_seed(cfg.seed, step);
-                let tc = cfg.objective.use_tc.then(|| {
-                    temporal_contrast_loss(
-                        &mut tape,
-                        encoder,
-                        store,
-                        &contrast_sampler,
-                        &centers,
-                        z_centers,
-                        &cfg.tc,
-                        bseed,
-                    )
-                });
-                let sc = cfg.objective.use_sc.then(|| {
-                    structural_contrast_loss(
-                        &mut tape,
-                        encoder,
-                        store,
-                        &contrast_sampler,
-                        &centers,
-                        z_centers,
-                        &negative_pool,
-                        &cfg.sc,
-                        bseed ^ SC_STREAM_SALT,
-                    )
-                });
-                (tc, sc)
-            };
-
-            let total = cfg.objective.combine(&mut tape, tlp, tc_loss, sc_loss);
-
-            match train_step(&mut tape, total, cfg.grad_clip, Some((&mut guard, step))) {
-                Ok(Some(update)) => {
+            match out.verdict? {
+                Some(update) => {
                     consult(FaultPoint::MemoryUpdate)?;
                     update.apply(opt, store);
-                    encoder.commit(&tape, ctx, chunk);
+                    encoder.commit(&tape, out.ctx, chunk);
 
-                    sums.tlp += tape.value(tlp).get(0, 0);
-                    sums.tc += tc_loss.map(|v| tape.value(v).get(0, 0)).unwrap_or(0.0);
-                    sums.sc += sc_loss.map(|v| tape.value(v).get(0, 0)).unwrap_or(0.0);
-                    sums.total += tape.value(total).get(0, 0);
+                    sums.tlp += out.losses.tlp;
+                    sums.tc += out.losses.tc;
+                    sums.sc += out.losses.sc;
+                    sums.total += out.losses.total;
                     batches += 1;
                 }
-                Ok(None) => {
-                    // Drop gradients and state writes, but keep chronology:
-                    // the batch's events still become pending messages.
-                    encoder.skip_commit(chunk);
-                }
-                Err(report) => return Err(CpdgError::Diverged(report)),
+                // Drop gradients and state writes, but keep chronology:
+                // the batch's events still become pending messages.
+                None => encoder.skip_commit(chunk),
             }
 
             // Uniform checkpointing across the full run (Eq. 18's [S^1…S^l]).
@@ -468,20 +526,7 @@ pub fn pretrain_resumable(
 
             if let Some(mgr) = &manager {
                 if mgr.should_save(step) {
-                    mgr.save(&TrainCheckpoint {
-                        version: CHECKPOINT_VERSION,
-                        step,
-                        epoch,
-                        next_cp,
-                        params: store.clone(),
-                        opt: opt.clone(),
-                        encoder: encoder.export_state(),
-                        guard: guard.clone(),
-                        eie_checkpoints: checkpoints.clone(),
-                        epoch_losses: epoch_losses.clone(),
-                        partial_sums: sums,
-                        partial_batches: batches,
-                    })?;
+                    mgr.save(&checkpoint!(epoch, sums, batches))?;
                 }
             }
         }
@@ -522,20 +567,7 @@ pub fn pretrain_resumable(
 
     // Terminal checkpoint so a completed run is also its own snapshot.
     if let Some(mgr) = &manager {
-        mgr.save(&TrainCheckpoint {
-            version: CHECKPOINT_VERSION,
-            step,
-            epoch: cfg.epochs,
-            next_cp,
-            params: store.clone(),
-            opt: opt.clone(),
-            encoder: encoder.export_state(),
-            guard: guard.clone(),
-            eie_checkpoints: checkpoints.clone(),
-            epoch_losses: epoch_losses.clone(),
-            partial_sums: LossBreakdown::default(),
-            partial_batches: 0,
-        })?;
+        mgr.save(&checkpoint!(cfg.epochs, LossBreakdown::default(), 0))?;
     }
 
     Ok(PretrainOutput {

@@ -169,7 +169,7 @@ pub enum Stat {
     Batches,
     /// 1 while a continual trainer is attached to this engine, else 0.
     Trainer,
-    /// Event-window pairs trained across all completed cycles.
+    /// Window steps applied across all completed cycles.
     TrainerWindows,
     /// Candidate epochs emitted (pre-validation).
     TrainerCandidates,
@@ -978,10 +978,7 @@ impl Engine {
             SwapKind::Reload => FaultPoint::ServeReload,
             SwapKind::Promotion | SwapKind::Rollback => FaultPoint::TrainerPromote,
         };
-        self.hook.check(point).map_err(|f| CpdgError::Fault {
-            point: point.name().to_string(),
-            reason: f.to_string(),
-        })?;
+        self.hook.check(point)?;
         let model = ModelFile::load(path)?;
         let mut inner = self.inner.lock().expect("engine lock");
         let old = Arc::clone(&inner.epoch);
