@@ -71,9 +71,8 @@ USAGE:
                 [--breaker-probe N] [--wal-dir <dir>]
                 [--fsync always|os|every-N] [--wal-segment-bytes N]
                 [--memory-in <state.cpdg>] [--memory-out <state.cpdg>]
-                [--continual --epoch-dir <dir>] [--train-window X]
-                [--train-stride X] [--train-cadence-ms N] [--train-gate X]
-                [--train-min-events N] [--train-probation N]
+                [--continual --epoch-dir <dir>] [--train-cadence-ms N]
+                [--train-gate X] [--train-probation N]
                 [--ingest <script>] [--chaos-plan <plan.json>] [--seed N]
                 [--scrub-interval <ms>]
   cpdg query    (--addr <host:port> | --port N)
@@ -110,12 +109,13 @@ started.
 
 Continual pre-training: --continual (requires --wal-dir and
 --epoch-dir; refused with --ingest, exit 2) runs a supervised trainer
-beside serving. It slices the acknowledged stream into overlapping
-windows (--train-window span, --train-stride step), runs CPDG's
-pre-training step (Eq. 17) once per window, training the encoder and
-the link head in a private parameter store, and every
---train-cadence-ms emits a CRC-sealed candidate epoch under
---epoch-dir. A candidate serves only after the validation gate passes
+beside serving. Every --train-cadence-ms it holds out the newest 200
+events of the acknowledged stream, runs CPDG's pre-training step
+(Eq. 17) once per 200-event batch before them, as `pretrain` does,
+training the encoder and the link head in a private parameter store,
+and emits a CRC-sealed candidate epoch under --epoch-dir; a stream of
+fewer than 400 events is not trained on.
+A candidate serves only after the validation gate passes
 (finite parameters; held-out loss within --train-gate x the serving
 epoch's) and the versioned hot-swap succeeds; rejected candidates move
 to <epoch-dir>/quarantine/ and are counted in STATUS (trainer.*).
@@ -207,9 +207,8 @@ fn command_options(command: &str) -> Option<&'static str> {
         }
         "serve" => {
             "model port workers queue batch cache deadline-ms breaker-k breaker-probe wal-dir \
-             fsync wal-segment-bytes memory-in memory-out continual epoch-dir train-window \
-             train-stride train-cadence-ms train-gate train-min-events train-probation ingest \
-             chaos-plan seed scrub-interval"
+             fsync wal-segment-bytes memory-in memory-out continual epoch-dir train-cadence-ms \
+             train-gate train-probation ingest chaos-plan seed scrub-interval"
         }
         "query" => "addr port send status",
         "scrub" => "chaos-plan",
@@ -772,17 +771,13 @@ fn serve_engine(args: &Args) -> CpdgResult<(std::sync::Arc<cpdg_serve::Engine>, 
 }
 
 /// Builds the continual-trainer config from the `--train-*` knobs.
-/// Window geometry is validated here (exit 2 on nonsense) rather than on
+/// The gate ratio is validated here (exit 2 on nonsense) rather than on
 /// the supervisor thread, where a refusal would be invisible; `cmd_serve`
 /// calls this with the other `--continual` refusals, before any port is
 /// bound or WAL opened.
 fn trainer_config(args: &Args) -> CpdgResult<cpdg_serve::TrainerConfig> {
     let dir = PathBuf::from(args.require("epoch-dir")?);
     let mut cfg = cpdg_serve::TrainerConfig::new(dir);
-    let span: f64 = args.get_num("train-window", 16.0f64)?;
-    let stride: f64 = args.get_num("train-stride", span / 2.0)?;
-    cfg.continual.window = cpdg_core::WindowConfig::new(span, stride)?;
-    cfg.continual.min_events = args.get_num("train-min-events", 32usize)?;
     cfg.continual.seed = args.get_num("seed", 0u64)?;
     cfg.continual.gate.max_loss_ratio = args.get_num("train-gate", 1.5f64)?;
     if !cfg.continual.gate.max_loss_ratio.is_finite() || cfg.continual.gate.max_loss_ratio <= 0.0 {
@@ -858,7 +853,7 @@ fn cmd_serve(args: &Args) -> CpdgResult<()> {
     let trainer_cfg = if args.has_flag("continual") {
         // Refuse misconfigurations before touching any state: the trainer
         // needs a live engine (not the offline reference path), a durable
-        // stream to train on, and a sane window geometry — all checked
+        // stream to train on, and a sane gate ratio — all checked
         // before any port is bound or WAL opened.
         if args.get("ingest").is_some() {
             return Err(CpdgError::Invalid(

@@ -185,22 +185,26 @@ fn serve_ingest_mode_is_deterministic_and_rejects_corrupt_models() {
 
 #[test]
 fn an_option_the_subcommand_does_not_read_exits_2_naming_it() {
-    // `--replicas` was removed (two copies are a constant): passing it
-    // must fail loudly before any model is opened, not run as if absent.
-    let out = bin()
-        .args(["serve", "--replicas", "2", "--model", "missing-model.json"])
-        .output()
-        .expect("run cpdg serve --replicas");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "unknown option must exit 2: {out:?}"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--replicas"),
-        "the refusal names the option: {stderr}"
-    );
+    // Removed options (`--replicas`: two copies are a constant;
+    // `--train-window`: continual training cuts the stream into
+    // pre-training batches) must fail loudly before any model is opened,
+    // not run as if absent.
+    for (option, value) in [("--replicas", "2"), ("--train-window", "8")] {
+        let out = bin()
+            .args(["serve", option, value, "--model", "missing-model.json"])
+            .output()
+            .expect("run cpdg serve with a removed option");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "unknown option {option} must exit 2: {out:?}"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(option),
+            "the refusal names the option: {stderr}"
+        );
+    }
 }
 
 #[test]

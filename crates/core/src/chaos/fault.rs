@@ -54,7 +54,7 @@ pub enum FaultPoint {
     /// One job drained by a serving worker thread (a fired fault panics
     /// the worker, exercising the supervisor restart path).
     ServeWorker,
-    /// One window step of the continual trainer (a fired
+    /// One batch step of the continual trainer (a fired
     /// fault aborts the training cycle; the supervisor backs off and
     /// retries, and the serving epoch is untouched).
     TrainerStep,

@@ -1,17 +1,19 @@
-//! Streaming continual pre-training: overlapping time-window slicing, a
-//! windowed trainer that runs CPDG's own objective, candidate-epoch
-//! emission, and the validation gate that decides whether a candidate may
-//! be promoted into serving.
+//! Streaming continual pre-training: a trainer that runs CPDG's own
+//! pre-training step over the live stream, candidate-epoch emission, and
+//! the validation gate that decides whether a candidate may be promoted
+//! into serving.
 //!
 //! The live event stream (the serving engine's WAL, replayed into its
 //! in-memory graph — the two are bit-identical by the recovery oracle) is
-//! sliced into overlapping time windows. Each trained window's new events
-//! are one batch of the offline pre-training step,
-//! [`crate::pretrain::cpdg_step`]: TLP + (1−β)·TC + β·SC (paper Eq. 17).
-//! The link head trains with the encoder, so the held-out TLP loss the
-//! gate compares is a term the trainer optimises. The windows place the
-//! held-out slice: no trained window reaches into it, and the step's
-//! samplers are built from the events before it.
+//! cut by event count, as the offline loop cuts it: the newest
+//! `batch_size` events are held out for the gate, and the events before them run through
+//! [`crate::pretrain::cpdg_step`] in chronological batches of
+//! `batch_size`: TLP + (1−β)·TC + β·SC (paper Eq. 17). The link head
+//! trains with the encoder, so the held-out TLP loss the gate compares is
+//! a term the trainer optimises. The step's samplers are built from the
+//! events before the held-out slice, so training never reads it. Every
+//! cut counts events, so the stream's time unit does not change what
+//! trains.
 //!
 //! Robustness contract (the reason this module exists at all):
 //!
@@ -35,167 +37,12 @@ use crate::storage::Storage;
 use crate::tlp::score_stream;
 use cpdg_dgnn::{DgnnConfig, DgnnEncoder, GuardConfig, LinkPredictor, NegativeSampler, TrainGuard};
 use cpdg_graph::split::subgraph_where;
-use cpdg_graph::{DynamicGraph, Timestamp};
+use cpdg_graph::DynamicGraph;
 use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
-
-/// Hard cap on the number of windows one slicing call may produce — a
-/// mis-configured stride over a long stream fails loudly instead of
-/// allocating without bound.
-pub const MAX_WINDOWS: usize = 1_000_000;
-
-/// Overlapping time-window geometry. `span` is each window's length in
-/// stream time units; `stride` is the distance between consecutive window
-/// starts. `stride <= span` makes adjacent windows overlap (the CLDG
-/// setting); `stride == span` tiles the stream exactly once.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowConfig {
-    /// Window length in stream time units (must be finite and positive).
-    pub span: f64,
-    /// Distance between consecutive window starts (finite, positive, and
-    /// `<= span` so no event can fall between windows).
-    pub stride: f64,
-}
-
-impl WindowConfig {
-    /// A validated window geometry.
-    pub fn new(span: f64, stride: f64) -> CpdgResult<Self> {
-        let cfg = Self { span, stride };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Checks the geometry invariants: both finite and positive, and
-    /// `stride <= span` (a gap between windows would let events escape
-    /// every training view).
-    pub fn validate(&self) -> CpdgResult<()> {
-        if !self.span.is_finite() || self.span <= 0.0 {
-            return Err(CpdgError::Invalid(format!(
-                "window span must be finite and positive, got {}",
-                self.span
-            )));
-        }
-        if !self.stride.is_finite() || self.stride <= 0.0 {
-            return Err(CpdgError::Invalid(format!(
-                "window stride must be finite and positive, got {}",
-                self.stride
-            )));
-        }
-        if self.stride > self.span {
-            return Err(CpdgError::Invalid(format!(
-                "window stride {} exceeds span {}: windows would leave gaps",
-                self.stride, self.span
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// One time window over a chronologically sorted event stream. Because the
-/// stream is sorted, a window's events form one contiguous index range
-/// `lo..hi` (half-open) into the stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventWindow {
-    /// Window ordinal (0-based; window `k` starts at `t0 + k * stride`).
-    pub index: usize,
-    /// Inclusive start time.
-    pub start: f64,
-    /// Exclusive end time (`start + span`).
-    pub end: f64,
-    /// First stream index with `t >= start`.
-    pub lo: usize,
-    /// One past the last stream index with `t < end`.
-    pub hi: usize,
-}
-
-impl EventWindow {
-    /// Number of events inside the window.
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// Whether the window holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.hi == self.lo
-    }
-
-    /// Whether time `t` falls inside the half-open interval
-    /// `[start, end)` — the membership rule `lo..hi` materialises.
-    pub fn contains_time(&self, t: f64) -> bool {
-        self.start <= t && t < self.end
-    }
-}
-
-/// Slices a chronologically sorted timestamp stream into overlapping
-/// windows: window `k` covers `[t0 + k*stride, t0 + k*stride + span)`
-/// where `t0` is the first timestamp. Windows are generated while their
-/// start does not exceed the last timestamp — plus, as a floating-point
-/// safety net, until the final window actually covers the last event — so
-/// **every event lands in at least one window** and (with
-/// `stride == span`) in exactly one. Duplicate timestamps land in the
-/// same windows; an empty stream yields no windows.
-///
-/// Fails with [`CpdgError::Invalid`] on invalid geometry, an unsorted
-/// stream, a non-finite timestamp, or a geometry that would produce more
-/// than [`MAX_WINDOWS`] windows.
-pub fn slice_windows(times: &[Timestamp], cfg: &WindowConfig) -> CpdgResult<Vec<EventWindow>> {
-    cfg.validate()?;
-    if times.is_empty() {
-        return Ok(Vec::new());
-    }
-    for (i, &t) in times.iter().enumerate() {
-        if !t.is_finite() {
-            return Err(CpdgError::Invalid(format!(
-                "window slicing requires finite timestamps (index {i} is {t})"
-            )));
-        }
-        if i > 0 && t < times[i - 1] {
-            return Err(CpdgError::Invalid(format!(
-                "window slicing requires a chronologically sorted stream \
-                 ({} then {t} at index {i})",
-                times[i - 1]
-            )));
-        }
-    }
-    let t0 = times[0];
-    let t_last = *times.last().expect("non-empty");
-    let n = times.len();
-    let mut windows: Vec<EventWindow> = Vec::new();
-    let mut k = 0usize;
-    loop {
-        let start = t0 + k as f64 * cfg.stride;
-        let within = start <= t_last;
-        // The tail guard: if rounding left the last event uncovered
-        // (`end <= t_last` for every in-range window), keep extending —
-        // `stride <= span` guarantees the very next window reaches it.
-        let tail_uncovered = windows.last().map(|w| w.hi < n).unwrap_or(true);
-        if !within && !tail_uncovered {
-            break;
-        }
-        if k >= MAX_WINDOWS {
-            return Err(CpdgError::Invalid(format!(
-                "window geometry (span {}, stride {}) would produce more \
-                 than {MAX_WINDOWS} windows over [{t0}, {t_last}]",
-                cfg.span, cfg.stride
-            )));
-        }
-        let end = start + cfg.span;
-        let lo = times.partition_point(|&t| t < start);
-        let hi = times.partition_point(|&t| t < end);
-        windows.push(EventWindow {
-            index: k,
-            start,
-            end,
-            lo,
-            hi,
-        });
-        k += 1;
-    }
-    Ok(windows)
-}
 
 /// Validation-gate thresholds for candidate epochs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,8 +89,10 @@ pub struct GateReport {
 /// Hyper-parameters of the continual trainer.
 #[derive(Debug, Clone)]
 pub struct ContinualConfig {
-    /// Window geometry for slicing the stream.
-    pub window: WindowConfig,
+    /// Events per training step, and the size of the held-out slice the
+    /// gate scores. A stream of fewer than `2 × batch_size` events is not
+    /// trained on.
+    pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
     /// Seed for everything stochastic (parameter init tie-break order,
@@ -252,8 +101,6 @@ pub struct ContinualConfig {
     pub seed: u64,
     /// Divergence watchdog policy.
     pub guard: GuardConfig,
-    /// Streams shorter than this are not trained on at all.
-    pub min_events: usize,
     /// Promotion gate thresholds.
     pub gate: GateConfig,
 }
@@ -261,14 +108,10 @@ pub struct ContinualConfig {
 impl Default for ContinualConfig {
     fn default() -> Self {
         Self {
-            window: WindowConfig {
-                span: 16.0,
-                stride: 8.0,
-            },
+            batch_size: PretrainConfig::default().batch_size,
             lr: 1e-3,
             seed: 0,
             guard: GuardConfig::default(),
-            min_events: 32,
             gate: GateConfig::default(),
         }
     }
@@ -277,11 +120,9 @@ impl Default for ContinualConfig {
 /// Outcome of one training cycle over a stream snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CycleReport {
-    /// Windows the stream was sliced into.
-    pub windows: usize,
-    /// Window steps whose update was applied.
+    /// CPDG steps whose update was applied.
     pub steps: usize,
-    /// Window steps the guard skipped (poisoned loss/gradient).
+    /// CPDG steps the guard skipped (poisoned loss/gradient).
     pub skipped: usize,
     /// Mean loss over applied steps (NaN when none were applied).
     pub mean_loss: f32,
@@ -290,7 +131,7 @@ pub struct CycleReport {
     pub holdout_from: usize,
 }
 
-/// The windowed CPDG trainer. Owns its own parameter store (initialised
+/// The continual CPDG trainer. Owns its own parameter store (initialised
 /// from a [`ModelFile`], typically the serving epoch), so a diverging or
 /// crashing trainer can never corrupt serving state — its only output is
 /// a sealed candidate file.
@@ -305,16 +146,21 @@ pub struct ContinualTrainer {
     guard: TrainGuard,
     checkpoints: Vec<cpdg_dgnn::MemorySnapshot>,
     step: usize,
-    windows_trained: u64,
+    steps_trained: u64,
 }
 
 impl ContinualTrainer {
     /// Builds a trainer whose parameters start from `model`, read from
     /// `source` (the namespaces match the serving engine's, so an emitted
     /// candidate hot-loads cleanly). A parameter whose shape disagrees with
-    /// the encoder `model`'s config builds refuses `source` as corrupt.
+    /// the encoder `model`'s config builds refuses `source` as corrupt; a
+    /// zero `batch_size` is refused as invalid.
     pub fn from_model(model: &ModelFile, source: &Path, cfg: ContinualConfig) -> CpdgResult<Self> {
-        cfg.window.validate()?;
+        if cfg.batch_size == 0 {
+            return Err(CpdgError::Invalid(
+                "continual batch_size must be positive".to_string(),
+            ));
+        }
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut encoder = DgnnEncoder::new(
@@ -350,24 +196,23 @@ impl ContinualTrainer {
             encoder,
             head,
             step: 0,
-            windows_trained: 0,
+            steps_trained: 0,
         })
     }
 
-    /// Total window steps applied over the trainer's lifetime.
-    pub fn windows_trained(&self) -> u64 {
-        self.windows_trained
+    /// Total CPDG steps applied over the trainer's lifetime.
+    pub fn steps_trained(&self) -> u64 {
+        self.steps_trained
     }
 
-    /// One full training cycle over a stream snapshot: slice into windows,
-    /// replay chronologically, and run one guarded CPDG step
-    /// ([`cpdg_step`]) per trained window on the events it adds. The
-    /// held-out slice runs from the start of the final window
-    /// (`holdout_from`) to the end of the stream; no window reaching into
-    /// it is trained on, none of its events is committed, and the step's
-    /// samplers draw from a graph of the events before it, so the gate has
-    /// a slice training never read. With at least three windows that slice
-    /// is never empty.
+    /// One full training cycle over a stream snapshot: hold out the
+    /// newest `batch_size` events (from `holdout_from` to the end of the
+    /// stream), replay the rest chronologically, and run one guarded CPDG
+    /// step ([`cpdg_step`]) per batch of `batch_size` events. No held-out
+    /// event is committed, and the step's samplers draw from a graph of
+    /// the events before `holdout_from`, so the gate has a slice training
+    /// never read. A stream of fewer than `2 × batch_size` events is an
+    /// idle cycle.
     ///
     /// Failure modes are all typed: a fired `trainer.step` fault aborts
     /// the cycle with [`CpdgError::Fault`]; guard divergence surfaces as
@@ -378,29 +223,17 @@ impl ContinualTrainer {
         graph: &DynamicGraph,
         hook: &FaultHook,
     ) -> CpdgResult<CycleReport> {
-        let events = graph.events();
-        let times: Vec<Timestamp> = events.iter().map(|e| e.t).collect();
-        let windows = slice_windows(&times, &self.cfg.window)?;
-        let idle = CycleReport {
-            windows: windows.len(),
-            steps: 0,
-            skipped: 0,
-            mean_loss: f32::NAN,
-            holdout_from: events.len(),
-        };
-        if events.len() < self.cfg.min_events || windows.len() < 3 {
-            return Ok(idle);
+        let n = graph.events().len();
+        let batch_size = self.cfg.batch_size;
+        if n < batch_size.saturating_mul(2) {
+            return Ok(CycleReport {
+                steps: 0,
+                skipped: 0,
+                mean_loss: f32::NAN,
+                holdout_from: n,
+            });
         }
-        // The held-out slice starts where the last window holding events
-        // starts. Overlapping windows before it may reach into that slice,
-        // so only the windows that end at or before it are trained on.
-        let holdout_from = windows
-            .iter()
-            .rev()
-            .map(|w| w.lo)
-            .find(|&lo| lo < events.len())
-            .unwrap_or(events.len());
-        let trained = windows.partition_point(|w| w.hi <= holdout_from);
+        let holdout_from = n - batch_size;
         let seen = subgraph_where(graph, |e| e.idx < holdout_from)
             .map_err(|e| CpdgError::Invalid(e.to_string()))?;
         let samplers = StepSamplers::new(&seen);
@@ -409,17 +242,12 @@ impl ContinualTrainer {
             ..PretrainConfig::default()
         };
         self.encoder.reset_state();
-        let mut committed = 0usize;
         let mut steps = 0usize;
         let mut skipped = 0usize;
         let mut total = 0.0f64;
         let mut tape = Tape::new();
-        for w in &windows[..trained] {
-            if w.hi <= committed {
-                continue; // the window adds no events
-            }
+        for chunk in seen.events().chunks(batch_size) {
             hook.check(FaultPoint::TrainerStep)?;
-            let chunk = &seen.events()[committed..w.hi];
             let out = cpdg_step(
                 &mut tape,
                 &self.encoder,
@@ -437,18 +265,16 @@ impl ContinualTrainer {
                     steps += 1;
                     update.apply(&mut self.opt, &mut self.store);
                     self.encoder.commit(&tape, out.ctx, chunk);
-                    self.windows_trained += 1;
+                    self.steps_trained += 1;
                 }
                 None => {
                     self.encoder.skip_commit(chunk);
                     skipped += 1;
                 }
             }
-            committed = w.hi;
             self.step += 1;
         }
         Ok(CycleReport {
-            windows: windows.len(),
             steps,
             skipped,
             mean_loss: if steps > 0 {
@@ -654,11 +480,7 @@ mod tests {
 
     fn trainer_cfg() -> ContinualConfig {
         ContinualConfig {
-            window: WindowConfig {
-                span: 20.0,
-                stride: 10.0,
-            },
-            min_events: 16,
+            batch_size: 10,
             lr: 1e-3,
             seed: 7,
             ..ContinualConfig::default()
@@ -670,102 +492,19 @@ mod tests {
     }
 
     #[test]
-    fn window_geometry_validates() {
-        assert!(WindowConfig::new(10.0, 5.0).is_ok());
-        assert!(
-            WindowConfig::new(10.0, 10.0).is_ok(),
-            "exact tiling is legal"
-        );
-        assert!(WindowConfig::new(0.0, 1.0).is_err(), "zero span");
-        assert!(WindowConfig::new(10.0, 0.0).is_err(), "zero stride");
-        assert!(WindowConfig::new(10.0, 11.0).is_err(), "gapped windows");
-        assert!(WindowConfig::new(f64::NAN, 1.0).is_err());
-        assert!(WindowConfig::new(10.0, f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn slicing_rejects_bad_streams() {
-        let cfg = WindowConfig {
-            span: 4.0,
-            stride: 2.0,
-        };
-        assert!(slice_windows(&[1.0, 0.5], &cfg).is_err(), "unsorted");
-        assert!(slice_windows(&[0.0, f64::NAN], &cfg).is_err(), "NaN time");
-        assert!(slice_windows(&[], &cfg).unwrap().is_empty(), "empty stream");
-    }
-
-    #[test]
-    fn slicing_covers_every_event_at_least_once() {
-        let times: Vec<f64> = vec![0.0, 0.0, 1.5, 2.0, 2.0, 2.0, 5.0, 7.5, 7.5, 10.0];
-        let cfg = WindowConfig {
-            span: 4.0,
-            stride: 2.0,
-        };
-        let windows = slice_windows(&times, &cfg).unwrap();
-        assert!(!windows.is_empty());
-        for (i, &t) in times.iter().enumerate() {
-            let covering: Vec<&EventWindow> =
-                windows.iter().filter(|w| w.lo <= i && i < w.hi).collect();
-            assert!(!covering.is_empty(), "event {i} at t={t} uncovered");
-            for w in &covering {
-                assert!(w.contains_time(t), "index range disagrees with time test");
-            }
-        }
-        // Index ranges and the time-membership rule agree exactly.
-        for w in &windows {
-            for (i, &t) in times.iter().enumerate() {
-                assert_eq!(
-                    w.lo <= i && i < w.hi,
-                    w.contains_time(t),
-                    "window {}",
-                    w.index
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn exact_tiling_covers_every_event_exactly_once() {
-        let times: Vec<f64> = (0..50).map(|i| i as f64 * 0.7).collect();
-        let cfg = WindowConfig {
-            span: 5.0,
-            stride: 5.0,
-        };
-        let windows = slice_windows(&times, &cfg).unwrap();
-        for i in 0..times.len() {
-            let count = windows.iter().filter(|w| w.lo <= i && i < w.hi).count();
-            assert_eq!(
-                count, 1,
-                "event {i} covered {count} times under exact tiling"
-            );
-        }
-    }
-
-    #[test]
-    fn single_timestamp_stream_gets_one_covering_window() {
-        let cfg = WindowConfig {
-            span: 3.0,
-            stride: 1.0,
-        };
-        let windows = slice_windows(&[42.0, 42.0, 42.0], &cfg).unwrap();
-        assert_eq!(windows.len(), 1);
-        assert_eq!((windows[0].lo, windows[0].hi), (0, 3));
-    }
-
-    #[test]
     fn cycle_trains_and_candidate_passes_gate() {
         let model = base_model(3);
         let graph = stream_graph(120);
         let mut trainer = trainer_from(&model, trainer_cfg());
         let hook = FaultHook::none();
         let report = trainer.train_cycle(&graph, &hook).unwrap();
-        assert!(report.steps > 0, "no window steps ran: {report:?}");
+        assert!(report.steps > 0, "no steps ran: {report:?}");
         assert!(report.mean_loss.is_finite());
         assert!(
             report.holdout_from < graph.events().len(),
             "a held-out slice exists"
         );
-        assert_eq!(trainer.windows_trained(), report.steps as u64);
+        assert_eq!(trainer.steps_trained(), report.steps as u64);
 
         let dir = test_dir("gate");
         let path = dir.join("candidate-000001.json");
@@ -785,36 +524,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// The default config trains on the offline loop's batches: the
+    /// newest batch is held out, and it is large enough for the gate's
+    /// loss leg to run.
     #[test]
-    fn default_geometry_holds_out_a_slice_no_trained_window_reaches() {
-        // 16/8 windows over 120 events: the penultimate window already
-        // ends at the stream's end, so it must not be trained on.
+    fn default_config_holds_out_the_newest_batch() {
         let model = base_model(4);
-        let graph = stream_graph(120);
+        let graph = stream_graph(500);
         let cfg = ContinualConfig {
             seed: 7,
             ..ContinualConfig::default()
         };
+        assert_eq!(cfg.batch_size, PretrainConfig::default().batch_size);
         let mut trainer = trainer_from(&model, cfg.clone());
         let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
-        let times: Vec<Timestamp> = graph.events().iter().map(|e| e.t).collect();
-        let windows = slice_windows(&times, &cfg.window).unwrap();
-        let last = windows.last().unwrap();
-        assert!(windows.len() >= 3 && last.lo < times.len());
-        assert_eq!(report.holdout_from, last.lo, "{report:?}");
-        // One step, applied or skipped, per window that ends at or before
-        // the held-out slice (each adds events on this stream).
-        let trained = windows
-            .iter()
-            .filter(|w| w.hi <= report.holdout_from)
-            .count();
-        assert!(trained >= 2 && report.steps > 0, "{report:?}");
-        assert_eq!(report.steps + report.skipped, trained);
+        assert_eq!(report.holdout_from, 500 - cfg.batch_size, "{report:?}");
+        // Batches of 200 and 100 events before the held-out slice.
+        assert!(report.steps > 0, "{report:?}");
+        assert_eq!(report.steps + report.skipped, 2, "{report:?}");
         let gate = GateConfig::default();
-        let verdict =
-            validate_candidate(&model, &model, &graph, report.holdout_from, &gate, 7).unwrap();
+        let verdict = validate_candidate(
+            &trainer.candidate(),
+            &model,
+            &graph,
+            report.holdout_from,
+            &gate,
+            7,
+        )
+        .unwrap();
         assert!(
-            verdict.scored >= gate.min_holdout,
+            verdict.scored >= gate.min_holdout && verdict.serving_loss.is_finite(),
             "the loss leg ran: {verdict:?}"
         );
     }
@@ -826,12 +565,8 @@ mod tests {
     #[test]
     fn held_out_slice_never_reaches_training() {
         let cfg = trainer_cfg();
-        let times: Vec<Timestamp> = (0..120).map(|i| i as f64).collect();
-        let holdout = slice_windows(&times, &cfg.window)
-            .unwrap()
-            .last()
-            .unwrap()
-            .lo;
+        let times: Vec<f64> = (0..120).map(|i| i as f64).collect();
+        let holdout = times.len() - cfg.batch_size;
         let stream = |held_out: fn(usize) -> (NodeId, NodeId)| {
             let mut g = DynamicGraph::empty(NODES);
             for (i, &t) in times.iter().enumerate() {
@@ -895,41 +630,63 @@ mod tests {
         );
     }
 
-    /// Windows inside a quiet stretch of the stream add no events: they
-    /// take no step, so the guard never sees an empty batch.
+    /// The same stream in another time unit, with the encoder's time
+    /// scale in that unit, trains the same parameters: every cut counts
+    /// events. The stream has a quiet stretch, which changes nothing
+    /// either — each batch still takes one step.
     #[test]
-    fn windows_without_new_events_take_no_step() {
-        let mut graph = DynamicGraph::empty(NODES);
-        for i in 0..120 {
-            let t = if i < 60 { i as f64 } else { i as f64 + 100.0 };
-            let (src, dst) = (i % 6, 6 + i % 6);
-            graph
-                .push_event(src as NodeId, dst as NodeId, t, 0)
-                .unwrap();
-        }
-        let cfg = trainer_cfg();
-        let mut trainer = trainer_from(&base_model(3), cfg.clone());
-        let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
-        let times: Vec<Timestamp> = graph.events().iter().map(|e| e.t).collect();
-        let windows = slice_windows(&times, &cfg.window).unwrap();
-        let trained = &windows[..windows.partition_point(|w| w.hi <= report.holdout_from)];
-        let adding = trained
-            .iter()
-            .enumerate()
-            .filter(|&(k, w)| k == 0 || w.hi > trained[k - 1].hi)
-            .count();
-        assert!(adding < trained.len(), "the gap leaves windows empty");
-        assert_eq!((report.steps, report.skipped), (adding, 0), "{report:?}");
+    fn time_units_do_not_change_training() {
+        let run = |unit: f64| {
+            let mut graph = DynamicGraph::empty(NODES);
+            for i in 0..120 {
+                let t = if i < 60 { i as f64 } else { i as f64 + 100.0 };
+                let (src, dst) = (i % 6, 6 + i % 6);
+                graph
+                    .push_event(src as NodeId, dst as NodeId, t * unit, 0)
+                    .unwrap();
+            }
+            let mut model = base_model(3);
+            model.encoder_config.time_scale *= unit;
+            let mut trainer = trainer_from(&model, trainer_cfg());
+            let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
+            let mut candidate = trainer.candidate();
+            candidate.encoder_config.time_scale /= unit;
+            (report, crate::codec::encode_artifact(&candidate))
+        };
+        let (report, bytes) = run(1.0);
+        let (report_k, bytes_k) = run(1000.0);
+        assert_eq!(
+            (report.holdout_from, report.steps, report.skipped),
+            (110, 11, 0)
+        );
+        assert_eq!(report, report_k);
+        assert!(bytes == bytes_k, "the time unit changed the candidate");
     }
 
     #[test]
     fn short_streams_are_idle_cycles() {
         let model = base_model(1);
-        let graph = stream_graph(8);
         let mut trainer = trainer_from(&model, trainer_cfg());
-        let report = trainer.train_cycle(&graph, &FaultHook::none()).unwrap();
-        assert_eq!(report.steps, 0);
-        assert_eq!(trainer.windows_trained(), 0);
+        // Fewer than two batches: nothing to train on beside the holdout.
+        let report = trainer
+            .train_cycle(&stream_graph(19), &FaultHook::none())
+            .unwrap();
+        assert_eq!((report.steps, report.holdout_from), (0, 19));
+        assert_eq!(trainer.steps_trained(), 0);
+        let report = trainer
+            .train_cycle(&stream_graph(20), &FaultHook::none())
+            .unwrap();
+        assert_eq!((report.steps, report.holdout_from), (1, 10));
+    }
+
+    #[test]
+    fn zero_batch_size_is_refused() {
+        let cfg = ContinualConfig {
+            batch_size: 0,
+            ..trainer_cfg()
+        };
+        let err = ContinualTrainer::from_model(&base_model(1), Path::new("base.cpdg"), cfg);
+        assert!(matches!(err, Err(CpdgError::Invalid(_))));
     }
 
     #[test]
@@ -948,11 +705,7 @@ mod tests {
             CpdgError::Fault { point, .. } => assert_eq!(point, "trainer.step"),
             other => panic!("expected trainer.step fault, got {other}"),
         }
-        assert_eq!(
-            trainer.windows_trained(),
-            0,
-            "fault fired before any update"
-        );
+        assert_eq!(trainer.steps_trained(), 0, "fault fired before any update");
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub use chaos::{
 };
 pub use checkpoint::{CheckpointConfig, CheckpointManager, TrainCheckpoint};
 pub use continual::{
-    slice_windows, validate_candidate, ContinualConfig, ContinualTrainer, CycleReport, EventWindow,
-    GateConfig, GateReport, WindowConfig,
+    validate_candidate, ContinualConfig, ContinualTrainer, CycleReport, GateConfig, GateReport,
 };
 pub use eie::{EieFusion, EieModule};
 pub use error::{CpdgError, CpdgResult};

@@ -237,11 +237,11 @@ pub fn cpdg_step(
 
     let mut center_rows: Vec<usize> = Vec::new();
     for (row, e) in chunk.iter().enumerate() {
+        if center_rows.len() >= cfg.contrast_centers {
+            break;
+        }
         if !center_rows.iter().any(|&r| chunk[r].src == e.src) {
             center_rows.push(row);
-            if center_rows.len() >= cfg.contrast_centers {
-                break;
-            }
         }
     }
     let centers: Vec<(NodeId, Timestamp)> = center_rows
@@ -662,6 +662,11 @@ mod tests {
         let out = pretrain(&mut enc, &head, &mut store, &mut opt, &ds.graph, &cfg);
         assert_eq!(out.epoch_losses[0].tc, 0.0);
         assert!(out.epoch_losses[0].sc > 0.0);
+        // No contrast centres: neither contrast term runs.
+        cfg.objective.use_tc = true;
+        cfg.contrast_centers = 0;
+        let out = pretrain(&mut enc, &head, &mut store, &mut opt, &ds.graph, &cfg);
+        assert_eq!((out.epoch_losses[0].tc, out.epoch_losses[0].sc), (0.0, 0.0));
     }
 
     #[test]

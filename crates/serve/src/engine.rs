@@ -169,7 +169,8 @@ pub enum Stat {
     Batches,
     /// 1 while a continual trainer is attached to this engine, else 0.
     Trainer,
-    /// Window steps applied across all completed cycles.
+    /// CPDG steps applied across all completed cycles (one per trained
+    /// batch; the `STATUS` key keeps its `trainer.windows` name).
     TrainerWindows,
     /// Candidate epochs emitted (pre-validation).
     TrainerCandidates,

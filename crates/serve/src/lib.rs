@@ -44,9 +44,10 @@
 //!   [`Engine::execute_query_batch`](engine::Engine::execute_query_batch)
 //!   call, the same FIFO query loop a single query takes), graceful drain.
 //! * [`trainer`] — crash-safe streaming continual pre-training: a
-//!   supervised [`TrainerRuntime`] slices the engine's acknowledged
-//!   stream into overlapping time windows, runs CPDG's pre-training step
-//!   (Eq. 17) once per window in a *private* parameter store, emits CRC-sealed
+//!   supervised [`TrainerRuntime`] holds out the newest batch of the
+//!   engine's acknowledged stream, runs CPDG's pre-training step
+//!   (Eq. 17) once per 200-event batch before it in a *private*
+//!   parameter store, emits CRC-sealed
 //!   candidate epochs, and promotes them through a validation gate
 //!   (finite parameters, bounded held-out loss) into the same versioned
 //!   hot-swap path as `RELOAD` — with quarantine for rejected candidates,

@@ -54,7 +54,7 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 /// Knobs of the continual-training supervisor.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
-    /// Trainer hyper-parameters (window geometry, guard, gate, …).
+    /// Trainer hyper-parameters (batch size, guard, gate, …).
     pub continual: ContinualConfig,
     /// Directory holding candidate epochs, the promoted pointer, and the
     /// quarantine subdirectory. Created if missing.
@@ -81,7 +81,7 @@ impl TrainerConfig {
 /// What one supervisor cycle did — the oracle tests assert on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CycleOutcome {
-    /// Stream too short (or too few windows) to train on.
+    /// Stream too short (fewer than two batches) to train on.
     Idle,
     /// A transient failure (an injected fault, or a probation rollback
     /// attempt that failed) aborted the cycle; it will be retried.
@@ -313,9 +313,9 @@ impl TrainerRuntime {
         Ok(version)
     }
 
-    /// Runs one full cycle: probation check, windowed contrastive
-    /// training over the synced stream copy, candidate emission, gate
-    /// validation, promotion. Every failure mode maps to a typed
+    /// Runs one full cycle: probation check, batched CPDG training over
+    /// the synced stream copy, candidate emission, gate validation,
+    /// promotion. Every failure mode maps to a typed
     /// [`CycleOutcome`]; an `Err` return is reserved for unrecoverable
     /// environment problems (epoch dir unwritable, serving model no
     /// longer loadable as a trainer).
@@ -589,7 +589,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::protocol::Command;
-    use cpdg_core::{FaultKind, FaultPlan, FaultPoint, Trigger, WindowConfig};
+    use cpdg_core::{FaultKind, FaultPlan, FaultPoint, Trigger};
     use cpdg_dgnn::{DgnnConfig, DgnnEncoder, EncoderKind, GuardConfig, LinkPredictor};
     use cpdg_tensor::ParamStore;
     use rand::rngs::StdRng;
@@ -640,11 +640,7 @@ mod tests {
         let model = ModelFile::load(&base).unwrap();
         let engine = Arc::new(Engine::from_model(&model, EngineConfig::default(), hook));
         let mut cfg = TrainerConfig::new(dir.join("epochs"));
-        cfg.continual.window = WindowConfig {
-            span: 20.0,
-            stride: 10.0,
-        };
-        cfg.continual.min_events = 16;
+        cfg.continual.batch_size = 10;
         cfg.continual.seed = 7;
         cfg.continual.guard = GuardConfig::never_diverge();
         tweak(&mut cfg);
@@ -710,11 +706,7 @@ mod tests {
             FaultHook::none(),
         ));
         let mut cfg = TrainerConfig::new(epochs.clone());
-        cfg.continual.window = WindowConfig {
-            span: 20.0,
-            stride: 10.0,
-        };
-        cfg.continual.min_events = 16;
+        cfg.continual.batch_size = 10;
         cfg.continual.seed = 7;
         cfg.continual.guard = GuardConfig::never_diverge();
         let mut rt = TrainerRuntime::new(Arc::clone(&engine), &promoted.model, cfg).unwrap();

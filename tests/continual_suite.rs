@@ -27,10 +27,6 @@
 //!   returns to serving, the pointer is rewritten to it (even though it
 //!   lives outside the epoch dir), and the candidate is quarantined.
 //!
-//! Plus the window-slicing properties the trainer leans on: every event
-//! covered, exact tiling at `stride == span`, half-open boundaries, and
-//! duplicates inseparable.
-//!
 //! The scripted real-SIGKILL variant of the kill oracle (against the
 //! `cpdg` binary under `serve --continual`) lives in CI's `cli-smoke`
 //! job; this file is the in-process oracle it leans on.
@@ -39,12 +35,11 @@ mod support;
 
 use cpdg::core::chaos::FaultKind::{Permanent, Transient};
 use cpdg::core::chaos::{FaultHook, FaultPlan, FaultPoint, Trigger};
-use cpdg::core::{slice_windows, EventWindow, ModelFile, WindowConfig};
+use cpdg::core::ModelFile;
 use cpdg::dgnn::GuardConfig;
 use cpdg::serve::trainer::QUARANTINE_DIR;
 use cpdg::serve::{read_promoted, CycleOutcome, Engine, EngineConfig, TrainerRuntime};
 use std::sync::Arc;
-use support::cases::{for_each_case, Lcg};
 use support::{
     attach, base_model, events, exec, feed, recover, snap, test_dir, tiny_segments, trainer_cfg,
 };
@@ -65,7 +60,7 @@ fn faulted_cycles_never_change_replies_until_a_validated_promotion() {
         Engine::from_model_file(&base, EngineConfig::default(), FaultHook::none()).unwrap();
     feed(&[&trained, &baseline], &events(0, 64));
 
-    // Cycle 1: the step fault aborts training mid-window — retried later.
+    // Cycle 1: the step fault aborts training mid-cycle — retried later.
     match rt.run_cycle().unwrap() {
         CycleOutcome::Faulted(reason) => assert!(reason.contains("trainer.step"), "{reason}"),
         other => panic!("cycle 1: expected step fault, got {other:?}"),
@@ -349,80 +344,4 @@ fn breaker_trip_inside_probation_rolls_the_promotion_back() {
     assert!(status.contains("trainer.rollbacks=1"), "{status}");
     assert!(status.contains("trainer.promotions=1"), "{status}");
     assert!(status.contains("trainer.quarantined=1"), "{status}");
-}
-
-/// Half-open window boundaries: an event at exactly a window edge belongs
-/// to the *next* window, and all duplicates of a timestamp travel
-/// together.
-#[test]
-fn window_boundaries_are_half_open_and_duplicates_stay_together() {
-    let times = [0.0, 5.0, 10.0, 10.0, 10.0, 19.9, 20.0];
-    let cfg = WindowConfig {
-        span: 10.0,
-        stride: 10.0,
-    };
-    let ws = slice_windows(&times, &cfg).unwrap();
-    for (i, &t) in times.iter().enumerate() {
-        let owners: Vec<&EventWindow> = ws.iter().filter(|w| w.lo <= i && i < w.hi).collect();
-        assert_eq!(owners.len(), 1, "event {i} (t={t}) owned once");
-        assert!(owners[0].contains_time(t));
-    }
-    // [0,10) holds 0.0 and 5.0; all three 10.0s open [10,20); 20.0 opens
-    // the next window rather than closing the previous one.
-    assert_eq!((ws[0].lo, ws[0].hi), (0, 2));
-    assert_eq!((ws[1].lo, ws[1].hi), (2, 6));
-    assert!(ws[2].contains_time(20.0));
-}
-
-/// Every event lands in at least one window, and a window's index range
-/// `lo..hi` agrees exactly with its time-interval membership — including
-/// for duplicate timestamps, which are inseparable. 64 cases of 1..100
-/// quarter-tick times below 500, spans of 1..60 half ticks, strides of
-/// 1..=8 eighths of the span.
-#[test]
-fn every_event_is_covered_and_ranges_match_intervals() {
-    for_each_case(64, |rng| {
-        let times = sorted_times(rng);
-        let span = rng.index(1, 60) as f64 * 0.5;
-        let stride = span * rng.index(1, 9) as f64 / 8.0;
-        let cfg = WindowConfig::new(span, stride).unwrap();
-        let ws = slice_windows(&times, &cfg).unwrap();
-        for (i, &t) in times.iter().enumerate() {
-            let covered = ws.iter().filter(|w| w.lo <= i && i < w.hi).count();
-            assert!(covered >= 1, "event {i} (t={t}) uncovered");
-            for w in &ws {
-                assert_eq!(
-                    w.lo <= i && i < w.hi,
-                    w.contains_time(t),
-                    "window {} range/interval disagree at event {i}",
-                    w.index
-                );
-            }
-        }
-    });
-}
-
-/// With `stride == span` the windows tile the stream: every event in
-/// exactly one window.
-#[test]
-fn exact_tiling_owns_every_event_exactly_once() {
-    for_each_case(64, |rng| {
-        let times = sorted_times(rng);
-        let span = rng.index(1, 60) as f64 * 0.5;
-        let cfg = WindowConfig::new(span, span).unwrap();
-        let ws = slice_windows(&times, &cfg).unwrap();
-        for (i, &t) in times.iter().enumerate() {
-            let covered = ws.iter().filter(|w| w.lo <= i && i < w.hi).count();
-            assert_eq!(covered, 1, "event {i} (t={t}) owned {covered} times");
-        }
-    });
-}
-
-/// 1..100 sorted event times on a quarter-tick grid in `[0, 500)`.
-fn sorted_times(rng: &mut Lcg) -> Vec<f64> {
-    let mut times: Vec<f64> = (0..rng.index(1, 100))
-        .map(|_| rng.index(0, 2000) as f64 * 0.25)
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    times
 }

@@ -24,7 +24,7 @@ use cpdg::core::pretrain::{pretrain_resumable, PretrainConfig, PretrainOutput, P
 use cpdg::core::scrub;
 use cpdg::core::storage::FS_STORAGE;
 use cpdg::core::wal::WalConfig;
-use cpdg::core::{CpdgResult, ModelFile, WindowConfig};
+use cpdg::core::{CpdgResult, ModelFile};
 use cpdg::dgnn::{
     DgnnConfig, DgnnEncoder, EncoderKind, GuardConfig, LinkPredictor, MemorySnapshot,
 };
@@ -265,16 +265,12 @@ pub fn tiny_segments() -> WalConfig {
     }
 }
 
-/// The trainer geometry: enough windows over a 64-event stream to train
-/// and promote on the first cycle, divergence disabled unless a scenario
+/// The trainer geometry: 10-event batches, so a 64-event stream trains
+/// and promotes on the first cycle, divergence disabled unless a scenario
 /// forces it.
 pub fn trainer_cfg(epoch_dir: PathBuf) -> TrainerConfig {
     let mut cfg = TrainerConfig::new(epoch_dir);
-    cfg.continual.window = WindowConfig {
-        span: 20.0,
-        stride: 10.0,
-    };
-    cfg.continual.min_events = 16;
+    cfg.continual.batch_size = 10;
     cfg.continual.seed = 7;
     cfg.continual.guard = GuardConfig::never_diverge();
     cfg
