@@ -66,8 +66,7 @@ USAGE:
                 [--strategy full|eie-mean|eie-attn|eie-gru] [--epochs N]
                 [--seed N]
   cpdg serve    --model <model.cpdg> [--port N] [--workers N] [--queue N]
-                [--batch N] [--cache on|off]
-                [--deadline-ms N] [--breaker-k N]
+                [--batch N] [--cache on|off] [--breaker-k N]
                 [--breaker-probe N] [--wal-dir <dir>]
                 [--fsync always|os|every-N] [--wal-segment-bytes N]
                 [--memory-in <state.cpdg>] [--memory-out <state.cpdg>]
@@ -85,10 +84,9 @@ Serving: `serve` loads a pre-trained model and answers a line protocol
 (EVENT src dst t [field] / EMB node [t] / SCORE src dst [t] /
 RELOAD path / STATS / STATUS / PING) on 127.0.0.1; --port 0 (default)
 picks a free port, printed as `listening on …`. Requests beyond --queue
-are shed with `ERR overloaded`; --deadline-ms bounds each inference
-(a zero budget is rejected at admission); after --breaker-k
-consecutive inference failures a circuit breaker serves degraded static
-embeddings until a probe (every --breaker-probe requests) succeeds.
+are shed with `ERR overloaded`; after --breaker-k consecutive
+inference failures a circuit breaker serves degraded static embeddings
+until a probe (every --breaker-probe requests) succeeds.
 SIGTERM/SIGINT drains gracefully: admitted requests finish, then
 --memory-out persists the DGNN memory (CRC-sealed, crash-safe).
 --ingest <script> applies a request file in-process instead of serving
@@ -206,8 +204,8 @@ fn command_options(command: &str) -> Option<&'static str> {
              max-nodes"
         }
         "serve" => {
-            "model port workers queue batch cache deadline-ms breaker-k breaker-probe wal-dir \
-             fsync wal-segment-bytes memory-in memory-out continual epoch-dir train-cadence-ms \
+            "model port workers queue batch cache breaker-k breaker-probe wal-dir fsync \
+             wal-segment-bytes memory-in memory-out continual epoch-dir train-cadence-ms \
              train-gate train-probation ingest chaos-plan seed scrub-interval"
         }
         "query" => "addr port send status",
@@ -755,8 +753,6 @@ fn serve_engine(args: &Args) -> CpdgResult<(std::sync::Arc<cpdg_serve::Engine>, 
         }
     };
     let engine_cfg = cpdg_serve::EngineConfig {
-        deadline: opt_usize(args, "deadline-ms")?
-            .map(|ms| std::time::Duration::from_millis(ms as u64)),
         breaker_threshold: args.get_num("breaker-k", 3u32)?,
         breaker_probe_every: args.get_num("breaker-probe", 4u32)?,
         seed: args.get_num("seed", 0u64)?,
@@ -1143,14 +1139,14 @@ fn load_data(
         cpdg_obs::emit_metrics(
             "ingest",
             vec![
-                ("path".to_string(), cpdg_obs::Value::from(path)),
+                ("path".to_string(), cpdg_obs::Json::from(path)),
                 (
                     "quarantined".to_string(),
-                    cpdg_obs::Value::from(loaded.quarantine.total),
+                    cpdg_obs::Json::from(loaded.quarantine.total),
                 ),
                 (
                     "events".to_string(),
-                    cpdg_obs::Value::from(loaded.graph.num_events()),
+                    cpdg_obs::Json::from(loaded.graph.num_events()),
                 ),
             ],
         );

@@ -187,9 +187,14 @@ fn serve_ingest_mode_is_deterministic_and_rejects_corrupt_models() {
 fn an_option_the_subcommand_does_not_read_exits_2_naming_it() {
     // Removed options (`--replicas`: two copies are a constant;
     // `--train-window`: continual training cuts the stream into
-    // pre-training batches) must fail loudly before any model is opened,
-    // not run as if absent.
-    for (option, value) in [("--replicas", "2"), ("--train-window", "8")] {
+    // pre-training batches; the per-request budget: a non-zero one never
+    // fired) must fail loudly before any model is opened, not run as if
+    // absent.
+    for (option, value) in [
+        ("--replicas", "2"),
+        ("--train-window", "8"),
+        ("--deadline-ms", "5"),
+    ] {
         let out = bin()
             .args(["serve", option, value, "--model", "missing-model.json"])
             .output()

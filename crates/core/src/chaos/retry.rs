@@ -258,12 +258,12 @@ mod tests {
             .into_iter()
             .filter(|r| {
                 r.level == cpdg_obs::Level::Error
-                    && matches!(r.field("point"), Some(cpdg_obs::Value::Str(p))
+                    && matches!(r.field("point"), Some(cpdg_obs::Json::Str(p))
                         if p == "test.retry.gaveup")
             })
             .collect();
         assert_eq!(errors.len(), 1, "{errors:?}");
-        assert_eq!(errors[0].field("attempts"), Some(&cpdg_obs::Value::U64(3)));
+        assert_eq!(errors[0].field("attempts"), Some(&cpdg_obs::Json::U64(3)));
     }
 
     #[test]

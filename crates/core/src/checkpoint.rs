@@ -408,7 +408,7 @@ pub(crate) mod tests {
             .into_iter()
             .filter(|r| {
                 r.level == cpdg_obs::Level::Warn
-                    && matches!(r.field("path"), Some(cpdg_obs::Value::Str(p))
+                    && matches!(r.field("path"), Some(cpdg_obs::Json::Str(p))
                         if p.ends_with("ckpt-00000020.json"))
             })
             .collect();
@@ -467,7 +467,7 @@ pub(crate) mod tests {
         assert!(path.ends_with("ckpt-00000020.json"));
         // The dangling pointer itself is reported as a skipped candidate.
         let warned_missing = cap.records_for("core.checkpoint").iter().any(|r| {
-            matches!(r.field("path"), Some(cpdg_obs::Value::Str(p))
+            matches!(r.field("path"), Some(cpdg_obs::Json::Str(p))
                 if p.ends_with("ckpt-00000005.json"))
         });
         assert!(warned_missing, "dangling latest pointer should warn");

@@ -314,7 +314,7 @@ mod tests {
         assert!(!warns.is_empty());
         assert_eq!(
             warns[0].field("strategy"),
-            Some(&cpdg_obs::Value::from("EIE-GRU"))
+            Some(&cpdg_obs::Json::from("EIE-GRU"))
         );
 
         // A genuine CPDG run with checkpoints must NOT be flagged.

@@ -545,7 +545,7 @@ pub fn pretrain_resumable(
         // these to metrics.jsonl; see cpdg-obs).
         let epoch_secs = epoch_started.elapsed().as_secs_f64();
         let epoch_steps = step - step_at_epoch_start;
-        let mut fields: Vec<(String, cpdg_obs::Value)> = vec![
+        let mut fields: Vec<(String, cpdg_obs::Json)> = vec![
             ("epoch".into(), (epoch as u64).into()),
             ("loss_tlp".into(), eb.tlp.into()),
             ("loss_tc".into(), eb.tc.into()),

@@ -35,16 +35,15 @@
 //!
 //! ```text
 //! pending = encoder.pending_states(store, graph)  // apply_pending on an Eval
-//! z       = encoder.infer_rows(store, &pending, graph, nodes, times, deadline)
+//! z       = encoder.infer_rows(store, &pending, graph, nodes, times)
 //! …more queries against the same `pending`…
 //! encoder.commit_states(pending, &[event])        // persist, queue the event
 //! ```
 //!
-//! `infer_rows` is `embed_many`'s forward on an `Eval`, with the deadline
-//! checked once per query, so both evaluators give the same bits.
+//! `infer_rows` is `embed_many`'s forward on an `Eval`, so both evaluators
+//! give the same bits.
 
 use crate::config::{AggKind, DgnnConfig, EmbedKind, MemKind, MsgKind};
-use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::memory::Memory;
 use cpdg_graph::{DynamicGraph, Interaction, NodeId, Timestamp};
 use cpdg_tensor::nn::{GruCell, Linear, LstmCell, Mlp, NeighborAttention, RnnCell, TimeEncoder};
@@ -593,17 +592,13 @@ impl DgnnEncoder {
         nodes: &[NodeId],
         times: &[Timestamp],
     ) -> Var {
-        let plan = self
-            .plan_rows(graph, nodes, times, &Deadline::none())
-            .expect("an unbounded deadline never cancels");
+        let plan = self.plan_rows(graph, nodes, times);
         self.embed_plan(ev, store, &ctx.dirty, ctx.new_states, plan)
     }
 
     /// [`DgnnEncoder::embed_many`] on an [`Eval`] over the applied
     /// `pending` states, mounted by reference: the serving forward,
-    /// `m × dim`, moved out of the evaluator. The deadline is checked once
-    /// per query, before its rows are listed; on expiry it returns
-    /// [`DeadlineExceeded`] having touched no encoder state.
+    /// `m × dim`, moved out of the evaluator.
     pub fn infer_rows(
         &self,
         store: &ParamStore,
@@ -611,16 +606,15 @@ impl DgnnEncoder {
         graph: &DynamicGraph,
         nodes: &[NodeId],
         times: &[Timestamp],
-        deadline: &Deadline,
-    ) -> Result<Matrix, DeadlineExceeded> {
-        let plan = self.plan_rows(graph, nodes, times, deadline)?;
+    ) -> Matrix {
+        let plan = self.plan_rows(graph, nodes, times);
         let mut ev = Eval::new();
         // Rows that read no dirty node read the same memory rows either way.
         let reads_pending = plan.rows.iter().any(|&n| pending.dirty.row(n).is_some());
         let states = pending.states.as_ref().filter(|_| reads_pending);
         let states = states.map(|s| ev.mount(s));
         let z = self.embed_plan(&mut ev, store, &pending.dirty, states, plan);
-        Ok(ev.take(z))
+        ev.take(z)
     }
 
     /// The embedding forward over the rows `plan` lists, reading the
@@ -699,15 +693,8 @@ impl DgnnEncoder {
 
     /// Lists the rows an embedding call reads, in stack order: each queried
     /// node, and under attention its recent neighbours after it (one
-    /// segment per query, the node itself at Δt = 0). The deadline is
-    /// checked once per query, before its rows are listed.
-    fn plan_rows(
-        &self,
-        graph: &DynamicGraph,
-        nodes: &[NodeId],
-        times: &[Timestamp],
-        deadline: &Deadline,
-    ) -> Result<RowPlan, DeadlineExceeded> {
+    /// segment per query, the node itself at Δt = 0).
+    fn plan_rows(&self, graph: &DynamicGraph, nodes: &[NodeId], times: &[Timestamp]) -> RowPlan {
         assert_eq!(nodes.len(), times.len(), "embedding: length mismatch");
         assert!(!nodes.is_empty(), "embedding: empty batch");
         // Room for every row, Δt and segment a query can list.
@@ -722,7 +709,6 @@ impl DgnnEncoder {
             segments: Vec::with_capacity(nodes.len() * segments),
         };
         for (&n, &t) in nodes.iter().zip(times) {
-            deadline.check()?;
             let start = plan.rows.len();
             plan.rows.push(n);
             match self.cfg.embed {
@@ -741,7 +727,7 @@ impl DgnnEncoder {
                 }
             }
         }
-        Ok(plan)
+        plan
     }
 
     /// Persists the batch's updated states, read off `ev`, into memory
@@ -856,15 +842,6 @@ mod tests {
         }
     }
 
-    /// [`setup`] with the whole stream replayed and its last two events
-    /// queued again as pending messages, so nodes 0, 2, 3 and 4 are dirty.
-    fn replayed_with_pending(kind: EncoderKind) -> (ParamStore, DgnnEncoder, DynamicGraph) {
-        let (store, mut enc, graph) = setup(kind);
-        enc.replay(&store, &graph, 2);
-        enc.skip_commit(&graph.events()[3..]);
-        (store, enc, graph)
-    }
-
     /// The training forward's values: `apply_pending → embed_many` on a
     /// fresh tape.
     fn tape_embed(
@@ -881,42 +858,17 @@ mod tests {
     }
 
     #[test]
-    fn infer_rows_matches_the_tape_forward_and_cancels_expired() {
+    fn infer_rows_matches_the_tape_forward() {
         for (name, cfg) in wirings() {
             let (store, enc, graph) = with_pending(cfg);
             let nodes = [0, 1, 2];
             let times = [6.0, 6.0, 6.0];
             let pending = enc.pending_states(&store, &graph);
             assert_eq!(enc.pending_endpoints(), [0, 2, 3, 4], "{name}");
-
-            // Unbounded deadline: bit-identical to the tape forward.
-            let checked = enc
-                .infer_rows(&store, &pending, &graph, &nodes, &times, &Deadline::none())
-                .expect("unbounded deadline never cancels");
             assert_eq!(
                 tape_embed(&enc, &store, &graph, &nodes, &times),
-                checked,
+                enc.infer_rows(&store, &pending, &graph, &nodes, &times),
                 "{name}: the forward-only path must not perturb the forward"
-            );
-
-            // Expired deadline: typed cancellation before any row is built,
-            // and the encoder itself is untouched (read-only path).
-            let rms_before = enc.memory.rms();
-            let err = enc
-                .infer_rows(
-                    &store,
-                    &pending,
-                    &graph,
-                    &nodes,
-                    &times,
-                    &Deadline::expired(),
-                )
-                .unwrap_err();
-            assert_eq!(err, DeadlineExceeded);
-            assert_eq!(
-                enc.memory.rms(),
-                rms_before,
-                "{name}: cancel must not mutate"
             );
         }
     }
@@ -926,27 +878,18 @@ mod tests {
         for (name, cfg) in wirings() {
             let (store, enc, graph) = with_pending(cfg);
             // Call sequence of one coalesced serving run: an EMB, a SCORE
-            // pair, an expired member, then a repeat of the first EMB.
-            let calls: [(&[NodeId], Timestamp, Deadline); 4] = [
-                (&[0], 6.0, Deadline::none()),
-                (&[3, 1], 6.5, Deadline::none()),
-                (&[2], 7.0, Deadline::expired()),
-                (&[0], 6.0, Deadline::none()),
-            ];
+            // pair, then a repeat of the first EMB.
+            let calls: [(&[NodeId], Timestamp); 3] = [(&[0], 6.0), (&[3, 1], 6.5), (&[0], 6.0)];
 
             // One pending application shared by every call.
             let shared = enc.pending_states(&store, &graph);
-            for (i, (nodes, t, deadline)) in calls.iter().enumerate() {
+            for (i, (nodes, t)) in calls.iter().enumerate() {
                 let times = vec![*t; nodes.len()];
-                let got = enc.infer_rows(&store, &shared, &graph, nodes, &times, deadline);
-                if deadline.is_expired() {
-                    assert_eq!(got, Err(DeadlineExceeded), "{name}: call {i} cancels");
-                    continue;
-                }
+                let got = enc.infer_rows(&store, &shared, &graph, nodes, &times);
                 // Reference: the same call on its own fresh tape.
                 assert_eq!(
                     tape_embed(&enc, &store, &graph, nodes, &times).data(),
-                    got.expect("unbounded").data(),
+                    got.data(),
                     "{name}: shared-pending call {i} must be bit-identical to a fresh tape"
                 );
             }
@@ -1161,58 +1104,6 @@ mod tests {
         let grads = ref_tape.backward(ref_loss.expect("messages"));
         let reference = ref_tape.param_grads(&grads);
         assert_grads_close("DyRep messages", &stacked, &reference);
-    }
-
-    #[test]
-    fn deadline_cancels_at_exactly_one_row_remaining() {
-        for kind in EncoderKind::all() {
-            let (store, enc, graph) = replayed_with_pending(kind);
-            let nodes = [0, 1, 2];
-            let times = [6.0, 6.0, 6.0];
-            let pending = enc.pending_states(&store, &graph);
-
-            // Two check credits for a three-row batch: rows 0 and 1 are
-            // built, the check guarding the final row fires — the tightest
-            // possible mid-batch cancellation.
-            let rms_before = enc.memory.rms();
-            let err = enc
-                .infer_rows(
-                    &store,
-                    &pending,
-                    &graph,
-                    &nodes,
-                    &times,
-                    &Deadline::after_checks(2),
-                )
-                .unwrap_err();
-            assert_eq!(
-                err, DeadlineExceeded,
-                "{kind:?}: one-row-remaining must cancel"
-            );
-            assert_eq!(
-                enc.memory.rms(),
-                rms_before,
-                "{kind:?}: cancel must not mutate"
-            );
-
-            // One credit per row: the identical batch completes, and the
-            // result is bit-identical to the unbounded forward.
-            let exact = enc
-                .infer_rows(
-                    &store,
-                    &pending,
-                    &graph,
-                    &nodes,
-                    &times,
-                    &Deadline::after_checks(3),
-                )
-                .expect("a credit per row completes the batch");
-            assert_eq!(
-                tape_embed(&enc, &store, &graph, &nodes, &times),
-                exact,
-                "{kind:?}"
-            );
-        }
     }
 
     #[test]

@@ -35,7 +35,6 @@
 #![warn(clippy::disallowed_macros)]
 
 pub mod config;
-pub mod deadline;
 pub mod decoder;
 pub mod encoder;
 pub mod guard;
@@ -44,7 +43,6 @@ pub mod metrics;
 pub mod step;
 
 pub use config::{AggKind, DgnnConfig, EmbedKind, EncoderKind, MemKind, MsgKind};
-pub use deadline::{Deadline, DeadlineExceeded};
 pub use decoder::{LinkPredictor, NegativeSampler, NodeClassifier};
 pub use encoder::{BatchContext, DgnnEncoder, EncoderState, PendingStates};
 pub use guard::{DivergenceReport, GuardConfig, StepVerdict, TrainGuard};

@@ -250,7 +250,7 @@ mod tests {
     fn records_with_metric(cap: &cpdg_obs::Capture, name: &str) -> Vec<cpdg_obs::Record> {
         cap.records_for("dgnn.metrics")
             .into_iter()
-            .filter(|r| r.field("metric") == Some(&cpdg_obs::Value::Str(name.into())))
+            .filter(|r| r.field("metric") == Some(&cpdg_obs::Json::Str(name.into())))
             .collect()
     }
 
@@ -268,8 +268,8 @@ mod tests {
         let warns = records_with_metric(&cap, "probe_nonfinite");
         assert_eq!(warns.len(), 1, "{warns:?}");
         assert_eq!(warns[0].level, cpdg_obs::Level::Warn);
-        assert_eq!(warns[0].field("nonfinite"), Some(&cpdg_obs::Value::U64(2)));
-        assert_eq!(warns[0].field("total"), Some(&cpdg_obs::Value::U64(3)));
+        assert_eq!(warns[0].field("nonfinite"), Some(&cpdg_obs::Json::U64(2)));
+        assert_eq!(warns[0].field("total"), Some(&cpdg_obs::Json::U64(3)));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! count and never time: a changed count means the buffers changed, which
 //! these pins make a visible, deliberate decision.
 
-use cpdg_dgnn::{Deadline, DgnnConfig, DgnnEncoder, EncoderKind};
+use cpdg_dgnn::{DgnnConfig, DgnnEncoder, EncoderKind};
 use cpdg_graph::{graph_from_triples, DynamicGraph, Interaction, NodeId, Timestamp};
 use cpdg_tensor::{Forward, ParamStore, Tape};
 use rand::rngs::StdRng;
@@ -141,10 +141,7 @@ fn eight_query_infer_rows_allocations_are_pinned() {
             .take(6),
     );
     let times = [700.0; 8];
-    let infer = || {
-        enc.infer_rows(&store, &pending, &graph, &nodes, &times, &Deadline::none())
-            .unwrap()
-    };
+    let infer = || enc.infer_rows(&store, &pending, &graph, &nodes, &times);
     drop(infer());
     let counts: Vec<u64> = (0..3).map(|_| allocations(infer)).collect();
     assert_eq!(counts, [23; 3], "8-query infer_rows");

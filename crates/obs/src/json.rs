@@ -5,9 +5,10 @@
 //! JSONL sinks render through this hand-rolled writer, and the workspace's
 //! JSON inputs (chaos plans, saved result tables, the golden loss file)
 //! are read back through [`Json::parse`]. Rendering a finite float always
-//! writes a fraction or exponent, so `parse(render(x)) == x`.
-
-use crate::Value;
+//! writes a fraction or exponent, so `parse(render(x)) == x`. Log and
+//! metric fields are `Json` values too: conversions exist from the
+//! primitive types the workspace logs, so call sites can write
+//! `key = some_usize` without manual wrapping.
 
 /// A JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +64,23 @@ impl Json {
         self.pretty_into(&mut out, 0);
         out.push('\n');
         out
+    }
+
+    /// Appends the value as a bare token for the human text sink. Floats
+    /// use `Display` (`2.0` reads `2`, NaN reads `NaN`); a string is bare
+    /// unless it is empty or holds whitespace, then quoted as is. Every
+    /// other value renders as compact JSON.
+    pub(crate) fn render_text(&self, out: &mut String) {
+        match self {
+            Json::F64(v) => out.push_str(&v.to_string()),
+            Json::Str(s) if s.is_empty() || s.contains(char::is_whitespace) => {
+                out.push('"');
+                out.push_str(s);
+                out.push('"');
+            }
+            Json::Str(s) => out.push_str(s),
+            other => other.render_into(out),
+        }
     }
 
     fn render_into(&self, out: &mut String) {
@@ -473,17 +491,6 @@ impl Reader<'_> {
     }
 }
 
-impl From<Value> for Json {
-    fn from(v: Value) -> Self {
-        match v {
-            Value::Bool(b) => Json::Bool(b),
-            Value::I64(v) => Json::I64(v),
-            Value::U64(v) => Json::U64(v),
-            Value::F64(v) => Json::F64(v),
-            Value::Str(s) => Json::Str(s),
-        }
-    }
-}
 impl From<&str> for Json {
     fn from(v: &str) -> Self {
         Json::Str(v.to_string())
@@ -494,9 +501,19 @@ impl From<String> for Json {
         Json::Str(v)
     }
 }
+impl From<&String> for Json {
+    fn from(v: &String) -> Self {
+        Json::Str(v.clone())
+    }
+}
 impl From<bool> for Json {
     fn from(v: bool) -> Self {
         Json::Bool(v)
+    }
+}
+impl From<u32> for Json {
+    fn from(v: u32) -> Self {
+        Json::U64(u64::from(v))
     }
 }
 impl From<u64> for Json {
@@ -509,9 +526,19 @@ impl From<usize> for Json {
         Json::U64(v as u64)
     }
 }
+impl From<i32> for Json {
+    fn from(v: i32) -> Self {
+        Json::I64(i64::from(v))
+    }
+}
 impl From<i64> for Json {
     fn from(v: i64) -> Self {
         Json::I64(v)
+    }
+}
+impl From<f32> for Json {
+    fn from(v: f32) -> Self {
+        Json::F64(f64::from(v))
     }
 }
 impl From<f64> for Json {

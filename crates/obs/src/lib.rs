@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod run;
 pub mod sinks;
 pub mod span;
-mod value;
 
 pub use json::Json;
 pub use log::{add_sink, emit_metrics, init, remove_sink, Level, LogFormat, Record, Sink, SinkId};
@@ -55,4 +54,3 @@ pub use metrics::{counter, counter_deltas, counters_snapshot, histogram, Counter
 pub use run::RunDir;
 pub use sinks::{capture, Capture, JsonStderrSink, JsonlFileSink, MemorySink, TextStderrSink};
 pub use span::{span, Span};
-pub use value::Value;

@@ -12,7 +12,7 @@
 //! one atomic holding the most verbose level any installed sink accepts.
 
 use crate::sinks::{JsonStderrSink, TextStderrSink};
-use crate::Value;
+use crate::Json;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -107,7 +107,7 @@ pub struct Record {
     /// Human-readable message (may be empty for pure metric events).
     pub message: String,
     /// Structured `key=value` fields.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(String, Json)>,
     /// Seconds since the process-wide logging clock started.
     pub elapsed_secs: f64,
     /// Wall-clock milliseconds since the Unix epoch.
@@ -116,7 +116,7 @@ pub struct Record {
 
 impl Record {
     /// The value of field `key`, if present.
-    pub fn field(&self, key: &str) -> Option<&Value> {
+    pub fn field(&self, key: &str) -> Option<&Json> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 }
@@ -266,7 +266,7 @@ pub fn enabled(level: Level) -> bool {
 /// Dispatches one record to every interested sink. Prefer the
 /// [`error!`](crate::error!)/[`warn!`](crate::warn!)/… macros, which add
 /// the `enabled` fast path and field conversion.
-pub fn dispatch(level: Level, target: &str, message: String, fields: Vec<(String, Value)>) {
+pub fn dispatch(level: Level, target: &str, message: String, fields: Vec<(String, Json)>) {
     let sinks: Vec<Arc<dyn Sink>> = {
         let mut reg = registry().lock().expect("obs registry poisoned");
         ensure_console(&mut reg);
@@ -298,7 +298,7 @@ pub fn dispatch(level: Level, target: &str, message: String, fields: Vec<(String
 /// Emits a machine-readable metric event: an info record with target
 /// `metrics.<event>` routed to metric sinks (e.g. a run directory's
 /// `metrics.jsonl`) and skipped by the stderr console sinks.
-pub fn emit_metrics(event: &str, fields: Vec<(String, Value)>) {
+pub fn emit_metrics(event: &str, fields: Vec<(String, Json)>) {
     dispatch(
         Level::Info,
         &format!("metrics.{event}"),
@@ -309,7 +309,7 @@ pub fn emit_metrics(event: &str, fields: Vec<(String, Value)>) {
 
 /// Core logging macro: `obs_log!(level, target, message; key = value, …)`.
 /// `message` is any `Into<String>`; field values convert via
-/// [`Value::from`]. Prefer the leveled shorthands
+/// [`Json::from`]. Prefer the leveled shorthands
 /// ([`error!`](crate::error!), [`warn!`](crate::warn!),
 /// [`info!`](crate::info!), [`debug!`](crate::debug!),
 /// [`trace!`](crate::trace!)).
@@ -324,7 +324,7 @@ macro_rules! obs_log {
                 ::std::string::String::from($msg),
                 ::std::vec![
                     $($( (::std::string::String::from(::std::stringify!($k)),
-                          $crate::Value::from($v)) ),+)?
+                          $crate::Json::from($v)) ),+)?
                 ],
             );
         }
@@ -393,11 +393,11 @@ mod tests {
             level: Level::Info,
             target: "t".into(),
             message: String::new(),
-            fields: vec![("k".into(), Value::U64(5))],
+            fields: vec![("k".into(), Json::U64(5))],
             elapsed_secs: 0.0,
             unix_ms: 0,
         };
-        assert_eq!(r.field("k"), Some(&Value::U64(5)));
+        assert_eq!(r.field("k"), Some(&Json::U64(5)));
         assert_eq!(r.field("missing"), None);
     }
 }

@@ -44,7 +44,7 @@ impl Sink for MetricsJsonlSink {
             ("event", Json::from(event)),
         ]);
         for (k, v) in &record.fields {
-            obj.push(k, Json::from(v.clone()));
+            obj.push(k, v.clone());
         }
         let mut line = obj.render();
         line.push('\n');
@@ -118,7 +118,6 @@ impl Drop for RunDir {
 mod tests {
     use super::*;
     use crate::emit_metrics;
-    use crate::Value;
 
     fn temp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("cpdg-obs-run-{tag}-{}", std::process::id()))
@@ -140,11 +139,11 @@ mod tests {
             emit_metrics(
                 "test_epoch",
                 vec![
-                    ("epoch".into(), Value::U64(0)),
-                    ("loss".into(), Value::F64(0.5)),
+                    ("epoch".into(), Json::U64(0)),
+                    ("loss".into(), Json::F64(0.5)),
                 ],
             );
-            emit_metrics("test_epoch", vec![("epoch".into(), Value::U64(1))]);
+            emit_metrics("test_epoch", vec![("epoch".into(), Json::U64(1))]);
             run.write_manifest(&Json::obj(vec![("seed", Json::U64(7))]))
                 .unwrap();
         }

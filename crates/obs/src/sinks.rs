@@ -23,7 +23,7 @@ pub(crate) fn record_to_json(record: &Record) -> Json {
         let fields = record
             .fields
             .iter()
-            .map(|(k, v)| (k.clone(), Json::from(v.clone())))
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         obj.push("fields", Json::Obj(fields));
     }
@@ -236,7 +236,6 @@ pub fn format_json(record: &Record) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
 
     fn sample() -> Record {
         Record {
@@ -244,8 +243,8 @@ mod tests {
             target: "core.checkpoint".into(),
             message: "skipping corrupt checkpoint".into(),
             fields: vec![
-                ("path".into(), Value::from("ckpt-00000004.json")),
-                ("step".into(), Value::U64(4)),
+                ("path".into(), Json::from("ckpt-00000004.json")),
+                ("step".into(), Json::U64(4)),
             ],
             elapsed_secs: 1.5,
             unix_ms: 1_700_000_000_000,
@@ -259,6 +258,36 @@ mod tests {
         assert!(line.contains("core.checkpoint"), "{line}");
         assert!(line.contains("path=ckpt-00000004.json"), "{line}");
         assert!(line.contains("step=4"), "{line}");
+    }
+
+    #[test]
+    fn text_line_renders_every_scalar_kind() {
+        let record = Record {
+            fields: vec![
+                ("flag".into(), Json::from(true)),
+                ("delta".into(), Json::from(-3i32)),
+                ("count".into(), Json::from(7u64)),
+                ("size".into(), Json::from(5usize)),
+                ("offset".into(), Json::from(-2i64)),
+                ("loss".into(), Json::from(0.25f64)),
+                ("whole".into(), Json::from(2.0f64)),
+                ("ratio".into(), Json::from(1.5f32)),
+                ("nan".into(), Json::from(f64::NAN)),
+                ("path".into(), Json::from("a b")),
+                ("name".into(), Json::from("plain")),
+                ("empty".into(), Json::from("")),
+            ],
+            ..sample()
+        };
+        assert_eq!(
+            format_text(&record),
+            "[    1.500s warn  core.checkpoint] skipping corrupt checkpoint flag=true delta=-3 \
+             count=7 size=5 offset=-2 loss=0.25 whole=2 ratio=1.5 nan=NaN path=\"a b\" name=plain empty=\"\""
+        );
+        assert_eq!(
+            format_json(&record),
+            r#"{"ts_ms":1700000000000,"elapsed_s":1.5,"level":"warn","target":"core.checkpoint","message":"skipping corrupt checkpoint","fields":{"flag":true,"delta":-3,"count":7,"size":5,"offset":-2,"loss":0.25,"whole":2.0,"ratio":1.5,"nan":null,"path":"a b","name":"plain","empty":""}}"#
+        );
     }
 
     #[test]
@@ -290,7 +319,7 @@ mod tests {
         let all = c.records_for("sinks.test_a");
         assert_eq!(all.len(), 2, "{all:?}");
         assert!(c.any_message_contains("first"));
-        assert_eq!(all[0].field("n"), Some(&Value::U64(1)));
+        assert_eq!(all[0].field("n"), Some(&Json::U64(1)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end exercise of the observability layer: macros → sinks →
 //! run-directory artefacts, in one process the way a training run uses it.
 
-use cpdg_obs::{counter, emit_metrics, span, Json, Level, RunDir, Value};
+use cpdg_obs::{counter, emit_metrics, span, Json, Level, RunDir};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -27,12 +27,12 @@ fn full_run_round_trip() {
             let _t = span("suite.epoch_us");
             counter!("suite.steps").add(10);
             let deltas = cpdg_obs::counter_deltas(&before);
-            let mut fields: Vec<(String, Value)> = vec![
-                ("epoch".into(), Value::U64(epoch)),
-                ("loss".into(), Value::F64(1.0 / (epoch + 1) as f64)),
+            let mut fields: Vec<(String, Json)> = vec![
+                ("epoch".into(), Json::U64(epoch)),
+                ("loss".into(), Json::F64(1.0 / (epoch + 1) as f64)),
             ];
             for (name, d) in deltas {
-                fields.push((format!("d_{name}"), Value::U64(d)));
+                fields.push((format!("d_{name}"), Json::U64(d)));
             }
             emit_metrics("suite_epoch", fields);
         }
@@ -69,7 +69,7 @@ fn full_run_round_trip() {
     let warns = cap.records_for("suite.guard");
     assert_eq!(warns.len(), 1);
     assert_eq!(warns[0].level, Level::Warn);
-    assert_eq!(warns[0].field("ratio"), Some(&Value::F64(3.5)));
+    assert_eq!(warns[0].field("ratio"), Some(&Json::F64(3.5)));
 
     // run.json: pretty, atomic, and carries the counter totals.
     let manifest = std::fs::read_to_string(dir.join("run.json")).unwrap();

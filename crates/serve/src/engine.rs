@@ -1,5 +1,5 @@
-//! The serving engine: model state, streamed ingestion, inference with
-//! cancellation, the circuit breaker, and versioned hot reload.
+//! The serving engine: model state, streamed ingestion, inference, the
+//! circuit breaker, and versioned hot reload.
 //!
 //! ## Concurrency model
 //!
@@ -22,12 +22,10 @@
 //!
 //! Only *model-health* failures count toward tripping the circuit breaker:
 //! an injected `serve.infer` fault, a non-finite output, or a panic inside
-//! the forward pass. Deadline expiry is a *request*-health failure (the
-//! model may be fine, the budget was not) and returns `ERR deadline`
-//! without touching the breaker. Bad arguments (`ERR exec`) never reach
-//! inference at all. While open, the breaker serves degraded replies from
-//! the static pre-training embeddings and lets every
-//! `probe_every`-th request through; one clean probe re-closes it.
+//! the forward pass. Bad arguments (`ERR exec`) never reach inference at
+//! all. While open, the breaker serves degraded replies from the static
+//! pre-training embeddings and lets every `probe_every`-th request
+//! through; one clean probe re-closes it.
 
 use crate::breaker::{Admittance, CircuitBreaker};
 use crate::cache::{CacheKey, ClearCause, EmbedCache};
@@ -36,9 +34,7 @@ use cpdg_core::error::{CpdgError, CpdgResult};
 use cpdg_core::storage::Storage;
 use cpdg_core::wal::{self, RecoveryStats, Wal, WalCheckpoint, WalConfig};
 use cpdg_core::{FaultHook, FaultPoint, ModelFile};
-use cpdg_dgnn::{
-    Deadline, DeadlineExceeded, DgnnConfig, DgnnEncoder, EncoderState, LinkPredictor, PendingStates,
-};
+use cpdg_dgnn::{DgnnConfig, DgnnEncoder, EncoderState, LinkPredictor, PendingStates};
 use cpdg_graph::{DynamicGraph, FieldId, GraphError, Interaction, NodeId, Timestamp};
 use cpdg_tensor::{Eval, Forward, Matrix, ParamStore, ShapeMismatch};
 use rand::rngs::StdRng;
@@ -47,7 +43,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 /// Parameter names the pre-training CLI registers; reloads rebuild the same
 /// namespaces so [`ParamStore::load_matching`] lines up.
@@ -57,8 +52,6 @@ const HEAD_NAME: &str = "pretext_head";
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Per-request inference budget; `None` disables deadlines.
-    pub deadline: Option<Duration>,
     /// Consecutive inference failures that trip the breaker.
     pub breaker_threshold: u32,
     /// While open, every `n`-th query probes the real model.
@@ -77,7 +70,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            deadline: None,
             breaker_threshold: 3,
             breaker_probe_every: 4,
             seed: 0,
@@ -159,7 +151,7 @@ pub enum Stat {
     Degraded,
     /// Requests shed at admission.
     Shed,
-    /// `ERR` replies of any kind (parse, exec, deadline, reload).
+    /// `ERR` replies of any kind (parse, exec, reload).
     Errors,
     /// Successful hot reloads.
     Reloads,
@@ -749,14 +741,6 @@ impl Engine {
             .record_failure();
     }
 
-    fn request_deadline(&self) -> Deadline {
-        match self.config.deadline {
-            Some(budget) if budget.is_zero() => Deadline::expired(),
-            Some(budget) => Deadline::within(budget),
-            None => Deadline::none(),
-        }
-    }
-
     /// The static-embedding fallback reply served while the breaker is
     /// open or after a model-health failure.
     fn degraded_reply(epoch: &Epoch, nodes: &[NodeId], score_pair: bool) -> Reply {
@@ -819,9 +803,9 @@ impl Engine {
 
     /// The one query path: answers `queries` in FIFO order under a single
     /// hold of the engine lock. Each query pays, in order: range check →
-    /// deadline → breaker admission → cache lookup → `serve.infer` fault
-    /// check → forward → finiteness verdict → cache insert → reply, exactly
-    /// as it would alone.
+    /// breaker admission → cache lookup → `serve.infer` fault check →
+    /// forward → finiteness verdict → cache insert → reply, exactly as it
+    /// would alone.
     ///
     /// Queries never mutate DGNN state, so the pending-message application
     /// is shared: the first forward pass after an ingest applies the
@@ -848,16 +832,6 @@ impl Engine {
             };
         }
         let t = q.t.unwrap_or_else(|| inner.graph.t_max().unwrap_or(0.0));
-        // A zero or already-elapsed budget is rejected here, at admission:
-        // the forward pass (and its `serve.infer` fault point) is never
-        // entered for a request that cannot finish.
-        let deadline = self.request_deadline();
-        if deadline.is_expired() {
-            return Reply::Err {
-                kind: ErrKind::Deadline,
-                detail: String::new(),
-            };
-        }
         if inner.breaker.admit() == Admittance::Shorted {
             return Self::degraded_reply(epoch, &q.nodes, q.score);
         }
@@ -875,25 +849,16 @@ impl Engine {
             (Err(fault), _) => Err(fault.to_string()),
             (Ok(()), Some(values)) => Ok(values),
             (Ok(()), None) => {
-                let forward = catch_unwind(AssertUnwindSafe(|| {
-                    Self::infer(inner, epoch, q, t, &deadline)
-                }));
+                let forward = catch_unwind(AssertUnwindSafe(|| Self::infer(inner, epoch, q, t)));
                 match forward {
-                    Ok(Ok(values)) if values.iter().all(|v| v.is_finite()) => {
+                    Ok(values) if values.iter().all(|v| v.is_finite()) => {
                         if let Some(key) = key {
                             let deps = Self::cache_deps(inner, &q.nodes, t);
                             inner.cache.insert(key, values.clone(), &deps);
                         }
                         Ok(values)
                     }
-                    Ok(Ok(_)) => Err("non-finite inference output".to_string()),
-                    // The model is not implicated; leave the breaker alone.
-                    Ok(Err(DeadlineExceeded)) => {
-                        return Reply::Err {
-                            kind: ErrKind::Deadline,
-                            detail: String::new(),
-                        }
-                    }
+                    Ok(_) => Err("non-finite inference output".to_string()),
                     Err(_) => Err("panic during inference".to_string()),
                 }
             }
@@ -922,13 +887,7 @@ impl Engine {
     /// Embeds `q` at `t` forward-only — applying the pending messages first
     /// if no forward since the last ingest has — and returns the reply
     /// values: the embedding row for `EMB`, the head's logit for `SCORE`.
-    fn infer(
-        inner: &mut EngineInner,
-        epoch: &Epoch,
-        q: &Query,
-        t: Timestamp,
-        deadline: &Deadline,
-    ) -> Result<Vec<f32>, DeadlineExceeded> {
+    fn infer(inner: &mut EngineInner, epoch: &Epoch, q: &Query, t: Timestamp) -> Vec<f32> {
         let EngineInner {
             encoder,
             graph,
@@ -937,16 +896,16 @@ impl Engine {
         } = inner;
         let pending = pending.get_or_insert_with(|| encoder.pending_states(&epoch.store, graph));
         let times = vec![t; q.nodes.len()];
-        let z = encoder.infer_rows(&epoch.store, pending, graph, &q.nodes, &times, deadline)?;
+        let z = encoder.infer_rows(&epoch.store, pending, graph, &q.nodes, &times);
         // A non-finite embedding must not reach the head, whose ReLU maps
         // NaN to 0: its rows go to the finiteness verdict instead.
         if !q.score || !z.all_finite() {
-            return Ok(z.into_data());
+            return z.into_data();
         }
         // Row 0 = src, row 1 = dst.
         let mut ev = Eval::new();
         let logit = epoch.head.score_pair(&mut ev, &epoch.store, z);
-        Ok(ev.take(logit).into_data())
+        ev.take(logit).into_data()
     }
 
     /// Hot-reloads the model from `path`. On any failure — injected
@@ -1173,49 +1132,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn zero_budget_is_rejected_at_admission() {
-        let model = tiny_model();
-        // An installed (empty) plan arms hit counting without injecting
-        // anything, so `hits(ServeInfer)` proves whether the forward path
-        // was entered.
-        let hook = FaultHook::install(&FaultPlan::new(0));
-        let engine = Engine::from_model(
-            &model,
-            EngineConfig {
-                deadline: Some(Duration::ZERO),
-                ..EngineConfig::default()
-            },
-            hook.clone(),
-        );
-        let ingest = engine.execute(Command::Event {
-            src: 0,
-            dst: 1,
-            t: 1.0,
-            field: 0,
-        });
-        assert!(matches!(ingest, Reply::Ok { .. }), "{ingest:?}");
-        let reply = engine.execute(Command::Emb {
-            node: 0,
-            t: Some(1.0),
-        });
-        assert!(
-            matches!(
-                reply,
-                Reply::Err {
-                    kind: ErrKind::Deadline,
-                    ..
-                }
-            ),
-            "{reply:?}"
-        );
-        // Rejected before inference: the serve.infer fault point was never
-        // consulted and the breaker saw no model-health failure.
-        assert_eq!(hook.hits(FaultPoint::ServeInfer), 0);
-        assert!(!engine.breaker_open());
-        assert_eq!(engine.get(Stat::Errors), 1);
     }
 
     #[test]

@@ -28,12 +28,11 @@
 //!   ingestion (each `EVENT` is appended to a CRC-framed
 //!   [write-ahead log](cpdg_core::Wal) *before* it mutates memory, and
 //!   replayed on startup so a recovered engine is bit-identical to an
-//!   uninterrupted one), deadline-checked forward-only passes (the
-//!   training forward run on a [`cpdg_tensor::Eval`], entered through
+//!   uninterrupted one), forward-only passes (the training forward run
+//!   on a [`cpdg_tensor::Eval`], entered through
 //!   [`DgnnEncoder::infer_rows`](cpdg_dgnn::DgnnEncoder::infer_rows))
-//!   that apply pending messages once per event, with zero/elapsed
-//!   budgets rejected at admission, versioned hot
-//!   reload that transplants live memory, and drain-time CRC-sealed
+//!   that apply pending messages once per event, versioned hot reload
+//!   that transplants live memory, and drain-time CRC-sealed
 //!   checkpoints that truncate replayed WAL segments.
 //! * [`server`] — the threaded TCP front door: per-connection lockstep
 //!   (single-connection scripts are worker-count-deterministic), a

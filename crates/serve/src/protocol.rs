@@ -69,8 +69,6 @@ pub enum Command {
 pub enum ErrKind {
     /// Admission queue full; request was shed unprocessed.
     Overloaded,
-    /// Per-request deadline expired mid-inference.
-    Deadline,
     /// Request line did not parse.
     Parse,
     /// Hot reload failed; previous model remains live.
@@ -84,7 +82,6 @@ impl ErrKind {
     pub fn token(self) -> &'static str {
         match self {
             ErrKind::Overloaded => "overloaded",
-            ErrKind::Deadline => "deadline",
             ErrKind::Parse => "parse",
             ErrKind::Reload => "reload",
             ErrKind::Exec => "exec",
@@ -396,14 +393,6 @@ mod tests {
             }
             .render(),
             "ERR overloaded queue at 8"
-        );
-        assert_eq!(
-            Reply::Err {
-                kind: ErrKind::Deadline,
-                detail: String::new()
-            }
-            .render(),
-            "ERR deadline"
         );
         assert_eq!(
             Reply::Err {

@@ -81,7 +81,8 @@ impl TrainerConfig {
 /// What one supervisor cycle did — the oracle tests assert on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CycleOutcome {
-    /// Stream too short (fewer than two batches) to train on.
+    /// Nothing new to train on: the stream is too short (fewer than two
+    /// batches), or it has not grown since the last promotion.
     Idle,
     /// A transient failure (an injected fault, or a probation rollback
     /// attempt that failed) aborted the cycle; it will be retried.
@@ -140,6 +141,11 @@ pub struct TrainerRuntime {
     /// also the `STATUS` `trainer.training_epoch`).
     generation: u64,
     probation: Option<Probation>,
+    /// Stream length at the last promotion: a cycle over a stream still
+    /// that long is idle. Faulted and quarantined cycles record nothing,
+    /// so they retry on the same stream; a rollback keeps the record, so
+    /// the rolled-back candidate is not rebuilt from the same events.
+    promoted_len: Option<usize>,
 }
 
 impl TrainerRuntime {
@@ -170,6 +176,7 @@ impl TrainerRuntime {
             stream: cpdg_graph::DynamicGraph::empty(num_nodes),
             generation,
             probation: None,
+            promoted_len: None,
         })
     }
 
@@ -314,8 +321,9 @@ impl TrainerRuntime {
     }
 
     /// Runs one full cycle: probation check, batched CPDG training over
-    /// the synced stream copy, candidate emission, gate validation,
-    /// promotion. Every failure mode maps to a typed
+    /// the synced stream copy (idle when it has not grown since the last
+    /// promotion), candidate emission, gate validation, promotion. Every
+    /// failure mode maps to a typed
     /// [`CycleOutcome`]; an `Err` return is reserved for unrecoverable
     /// environment problems (epoch dir unwritable, serving model no
     /// longer loadable as a trainer).
@@ -324,6 +332,9 @@ impl TrainerRuntime {
             return Ok(rolled);
         }
         self.sync_stream();
+        if self.promoted_len == Some(self.stream.num_events()) {
+            return Ok(CycleOutcome::Idle);
+        }
         let report = match self.trainer.train_cycle(&self.stream, &self.hook) {
             Ok(r) => r,
             Err(CpdgError::Diverged(report)) => {
@@ -418,6 +429,7 @@ impl TrainerRuntime {
         // restarts into this epoch. The swap above and this write are the
         // two halves of the promotion cut point the kill oracle exercises.
         write_promoted(&self.cfg.epoch_dir, generation, &path)?;
+        self.promoted_len = Some(self.stream.num_events());
         self.probation = Some(Probation {
             trips: self.engine.breaker_trips(),
             cycles_left: self.cfg.probation_cycles,
@@ -677,6 +689,26 @@ mod tests {
         assert!(status.contains("trainer=on"), "{status}");
         assert!(status.contains("trainer.promotions=1"), "{status}");
         assert!(status.contains("trainer.training_epoch=1"), "{status}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stream_that_has_not_grown_since_the_promotion_is_idle() {
+        let dir = test_dir("static-stream");
+        let (engine, mut rt, _) = runtime_with(&dir, FaultHook::none(), |_| {});
+        stream_events(&engine, 64);
+        assert!(matches!(
+            rt.run_cycle().unwrap(),
+            CycleOutcome::Promoted { .. }
+        ));
+        assert_eq!(rt.run_cycle().unwrap(), CycleOutcome::Idle);
+        assert!(
+            !dir.join("epochs").join("candidate-g2.json").exists(),
+            "no candidate is emitted from the same events"
+        );
+        let status = engine.execute(Command::Status).render();
+        assert!(status.contains("trainer.candidates=1"), "{status}");
+        assert!(status.contains("trainer.promotions=1"), "{status}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,7 +11,7 @@
 //! * [`core`] — CPDG itself: samplers, contrastive pre-training, EIE
 //!   fine-tuning, and one-call pipelines,
 //! * [`serve`] — resilient online serving of pre-trained models (admission
-//!   control, deadlines, circuit breaking, hot reload, graceful drain),
+//!   control, circuit breaking, hot reload, graceful drain),
 //! * [`obs`] — structured logging, counters/span timers, and run-directory
 //!   provenance (`run.json` + `metrics.jsonl`).
 //!
