@@ -7,7 +7,7 @@
 //! cpdg pretrain  --data data.csv --out model.cpdg --ckpt-dir ckpts --ckpt-every 50
 //! cpdg pretrain  --data data.csv --out model.cpdg --resume ckpts
 //! cpdg finetune  --data data.csv --model model.cpdg --strategy eie-gru --epochs 3
-//! cpdg serve     --model model.cpdg --port 7654 --memory-out state.cpdg
+//! cpdg serve     --model model.cpdg --port 7654 --wal-dir wal
 //! cpdg query     --addr 127.0.0.1:7654 --send "SCORE 0 42"
 //! ```
 //!
@@ -69,7 +69,6 @@ USAGE:
                 [--batch N] [--cache on|off] [--breaker-k N]
                 [--breaker-probe N] [--wal-dir <dir>]
                 [--fsync always|os|every-N] [--wal-segment-bytes N]
-                [--memory-in <state.cpdg>] [--memory-out <state.cpdg>]
                 [--continual --epoch-dir <dir>] [--train-cadence-ms N]
                 [--train-gate X] [--train-probation N]
                 [--ingest <script>] [--chaos-plan <plan.json>] [--seed N]
@@ -88,7 +87,8 @@ are shed with `ERR overloaded`; after --breaker-k consecutive
 inference failures a circuit breaker serves degraded static embeddings
 until a probe (every --breaker-probe requests) succeeds.
 SIGTERM/SIGINT drains gracefully: admitted requests finish, then
---memory-out persists the DGNN memory (CRC-sealed, crash-safe).
+--wal-dir's checkpoint is written (below); it is the only serving
+state that persists.
 --ingest <script> applies a request file in-process instead of serving
 TCP — the reference path the end-to-end smoke test compares against.
 `query` connects, sends --send (or each stdin line), and prints replies;
@@ -110,7 +110,9 @@ Continual pre-training: --continual (requires --wal-dir and
 beside serving. Every --train-cadence-ms it holds out the newest 200
 events of the acknowledged stream, runs CPDG's pre-training step
 (Eq. 17) once per 200-event batch before them, as `pretrain` does,
-training the encoder and the link head in a private parameter store,
+training the encoder and the link head in a private parameter store
+(--seed seeds its negatives, contrast subgraphs and gate sampling;
+serving itself reads no seed),
 and emits a CRC-sealed candidate epoch under --epoch-dir; a stream of
 fewer than 400 events is not trained on.
 A candidate serves only after the validation gate passes
@@ -122,8 +124,10 @@ rolled back automatically. The sealed pointer <epoch-dir>/promoted.cpdg
 is rewritten atomically on every promotion, so a process killed at any
 instant — even kill -9 mid-promotion — restarts serving the last
 promoted epoch (a corrupt pointer is warned about and the --model base
-epoch serves instead). Trainer crashes never touch serving: panics are
-caught, counted, and retried with deterministic backoff.
+epoch serves instead). The pointer also records how many events the
+promotion saw, so a restart over an unchanged stream does not retrain.
+Trainer crashes never touch serving: panics are caught, counted, and
+retried with deterministic backoff.
 
 Self-healing artifacts: every scrub-managed artifact (WAL checkpoints,
 sealed WAL segments, candidate epoch files, the promoted pointer) is
@@ -205,7 +209,7 @@ fn command_options(command: &str) -> Option<&'static str> {
         }
         "serve" => {
             "model port workers queue batch cache breaker-k breaker-probe wal-dir fsync \
-             wal-segment-bytes memory-in memory-out continual epoch-dir train-cadence-ms \
+             wal-segment-bytes continual epoch-dir train-cadence-ms \
              train-gate train-probation ingest chaos-plan seed scrub-interval"
         }
         "query" => "addr port send status",
@@ -666,7 +670,7 @@ fn cmd_finetune(args: &Args, run: Option<&cpdg_obs::RunDir>) -> CpdgResult<()> {
 /// into an atomic (the one async-signal-safe thing worth doing), and the
 /// long-running loops poll it at safe boundaries — `pretrain` between
 /// batches (checkpoint, then exit 8), `serve` in its wait loop (graceful
-/// drain, then persist memory).
+/// drain, then the WAL checkpoint).
 mod sig {
     use std::sync::atomic::AtomicI32;
 
@@ -755,14 +759,9 @@ fn serve_engine(args: &Args) -> CpdgResult<(std::sync::Arc<cpdg_serve::Engine>, 
     let engine_cfg = cpdg_serve::EngineConfig {
         breaker_threshold: args.get_num("breaker-k", 3u32)?,
         breaker_probe_every: args.get_num("breaker-probe", 4u32)?,
-        seed: args.get_num("seed", 0u64)?,
         cache,
     };
     let engine = cpdg_serve::Engine::from_model_file(&model_path, engine_cfg, chaos_hook(args)?)?;
-    if let Some(mem) = args.get("memory-in") {
-        engine.restore_memory_file(&FS_STORAGE, Path::new(mem))?;
-        println!("restored memory from {mem}");
-    }
     Ok((std::sync::Arc::new(engine), model_path))
 }
 
@@ -892,8 +891,9 @@ fn cmd_serve(args: &Args) -> CpdgResult<()> {
 
     if let Some(script) = args.get("ingest") {
         // Offline mode: apply a request script in-process (no sockets) and
-        // print one reply per request. With --memory-out this is the
-        // reference run the e2e smoke test `cmp`s a drained server against.
+        // print one reply per request. With --wal-dir this is the
+        // reference run the e2e smoke test `cmp`s a drained server's
+        // checkpoint against.
         let text = std::fs::read_to_string(script).map_err(|e| CpdgError::io(script, e))?;
         for line in text.lines() {
             if line.trim().is_empty() {
@@ -974,11 +974,6 @@ fn cmd_serve(args: &Args) -> CpdgResult<()> {
         if let Some(freed) = engine.checkpoint_wal(&FS_STORAGE)? {
             println!("wal checkpoint written ({freed} log bytes truncated)");
         }
-    }
-
-    if let Some(out) = args.get("memory-out") {
-        engine.persist_memory(&FS_STORAGE, Path::new(out))?;
-        println!("persisted memory to {out}");
     }
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! End-to-end smoke tests driving the real `cpdg` binary: graceful
 //! SIGTERM handling during pre-training (exit code 8 + resumable
 //! checkpoint), the offline `serve --ingest` reference mode
-//! (deterministic replies and drained memory, typed corrupt-model exit),
+//! (deterministic replies and drain checkpoint, typed corrupt-model exit),
 //! and the refusal (exit 2) of options a subcommand does not read and of
 //! continual training without a WAL.
 
@@ -123,38 +123,32 @@ fn serve_ingest_mode_is_deterministic_and_rejects_corrupt_models() {
     )
     .unwrap();
 
-    let run = |mem: &Path| {
+    // Each run drains into its own WAL directory; the `wal …` lines
+    // around the reply stream report recovery and the drain checkpoint.
+    let run = |wal: &Path| {
         let out = bin()
             .args(["serve", "--model", model.to_str().unwrap()])
             .args(["--ingest", script.to_str().unwrap()])
-            .args(["--memory-out", mem.to_str().unwrap()])
+            .args(["--wal-dir", wal.to_str().unwrap()])
             .output()
             .expect("run cpdg serve --ingest");
         assert!(out.status.success(), "serve --ingest failed: {out:?}");
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let mem1 = dir.join("mem1.json");
-    let mem2 = dir.join("mem2.json");
-    let out1 = run(&mem1);
-    let out2 = run(&mem2);
-
-    // The trailing `persisted memory to <path>` line names the (different)
-    // output path; everything above it is the reply stream.
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.starts_with("persisted memory"))
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .filter(|l| !l.starts_with("wal "))
             .collect::<Vec<_>>()
             .join("\n")
     };
+    let wal1 = dir.join("wal1");
+    let wal2 = dir.join("wal2");
+    let out1 = run(&wal1);
+    let out2 = run(&wal2);
+    assert_eq!(out1, out2, "ingest replies must be deterministic");
     assert_eq!(
-        strip(&out1),
-        strip(&out2),
-        "ingest replies must be deterministic"
-    );
-    assert_eq!(
-        std::fs::read(&mem1).unwrap(),
-        std::fs::read(&mem2).unwrap(),
-        "drained memory must be byte-deterministic"
+        std::fs::read(wal1.join("checkpoint.cpdg")).unwrap(),
+        std::fs::read(wal2.join("checkpoint.cpdg")).unwrap(),
+        "the drain checkpoint must be byte-deterministic"
     );
     let replies: Vec<&str> = out1.lines().collect();
     assert!(replies[0].starts_with("OK v1 event 0"), "{replies:?}");
@@ -188,12 +182,15 @@ fn an_option_the_subcommand_does_not_read_exits_2_naming_it() {
     // Removed options (`--replicas`: two copies are a constant;
     // `--train-window`: continual training cuts the stream into
     // pre-training batches; the per-request budget: a non-zero one never
-    // fired) must fail loudly before any model is opened, not run as if
-    // absent.
+    // fired; the memory file: the WAL drain checkpoint is the one
+    // persisted serving state) must fail loudly before any model is
+    // opened, not run as if absent.
     for (option, value) in [
         ("--replicas", "2"),
         ("--train-window", "8"),
         ("--deadline-ms", "5"),
+        ("--memory-in", "state.cpdg"),
+        ("--memory-out", "state.cpdg"),
     ] {
         let out = bin()
             .args(["serve", option, value, "--model", "missing-model.json"])

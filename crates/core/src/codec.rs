@@ -1,6 +1,6 @@
 //! The on-disk layout of every sealed artifact: the model file, training
-//! checkpoints, the WAL drain checkpoint and the serving engine's memory
-//! file. No other code knows how these bytes are laid out.
+//! checkpoints and the WAL drain checkpoint. No other code knows how these
+//! bytes are laid out.
 //!
 //! ## Layout
 //!
@@ -28,8 +28,8 @@
 //!
 //! Encoding is canonical: the same value always gives the same bytes
 //! (parameters in registration order, optimiser moments by parameter
-//! index), which is what lets model and memory files be compared byte for
-//! byte.
+//! index), which is what lets model files and drain checkpoints be
+//! compared byte for byte.
 //!
 //! ## Refusals
 //!
@@ -56,7 +56,7 @@ use cpdg_tensor::optim::Adam;
 use cpdg_tensor::{Matrix, ParamStore};
 use std::path::Path;
 
-/// Layout version of the WAL checkpoint and the memory file.
+/// Layout version of the WAL checkpoint.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// A value with a byte layout.
@@ -632,13 +632,6 @@ impl Artifact for WalCheckpoint {
     const VERSION: u32 = FORMAT_VERSION;
 }
 
-/// The serving engine's persisted memory (`--memory-out`).
-impl Artifact for EncoderState {
-    const MAGIC: [u8; 8] = *b"CPDGMEMS";
-    const WHAT: &'static str = "memory file";
-    const VERSION: u32 = FORMAT_VERSION;
-}
-
 /// Payloads every artifact must refuse, built from a valid `payload`
 /// whose `u64` length prefix sits at byte `prefix_at`: cut short, that
 /// prefix raised beyond the bytes remaining, one trailing byte, and a
@@ -777,7 +770,6 @@ mod tests {
         assert_canonical(&ckpt, &ckpt.clone());
         let wal = wal_checkpoint();
         assert_canonical(&wal, &wal.clone());
-        assert_canonical(&wal.encoder, &wal.encoder.clone());
     }
 
     #[test]

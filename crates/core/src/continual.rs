@@ -53,10 +53,6 @@ pub struct GateConfig {
     /// Absolute slack added to the ratio bound (guards the near-zero-loss
     /// regime where a pure ratio is hypersensitive).
     pub epsilon: f64,
-    /// Below this many held-out scored events the loss comparison is
-    /// statistically meaningless: the gate degrades to the finite-params
-    /// check only (and says so in its report).
-    pub min_holdout: usize,
 }
 
 impl Default for GateConfig {
@@ -64,7 +60,6 @@ impl Default for GateConfig {
         Self {
             max_loss_ratio: 1.5,
             epsilon: 0.05,
-            min_holdout: 8,
         }
     }
 }
@@ -373,9 +368,9 @@ pub fn holdout_loss(
 
 /// The promotion gate: a candidate epoch may replace the serving epoch
 /// only if (a) every parameter is finite and (b) its held-out loss is
-/// bounded by the serving epoch's under `gate`'s ratio + slack. With
-/// fewer than `gate.min_holdout` scored events the loss leg is skipped
-/// (and the report says so). Never promotes a non-finite candidate.
+/// bounded by the serving epoch's under `gate`'s ratio + slack. An empty
+/// held-out slice scores a NaN loss and is rejected. Never promotes a
+/// non-finite candidate.
 pub fn validate_candidate(
     candidate: &ModelFile,
     serving: &ModelFile,
@@ -395,19 +390,6 @@ pub fn validate_candidate(
         });
     }
     let (cand_loss, scored) = holdout_loss(candidate, graph, score_from, seed)?;
-    if scored < gate.min_holdout {
-        return Ok(GateReport {
-            finite: true,
-            candidate_loss: cand_loss,
-            serving_loss: f64::NAN,
-            scored,
-            pass: true,
-            reason: format!(
-                "holdout too small ({scored} < {}): finite-params gate only",
-                gate.min_holdout
-            ),
-        });
-    }
     let (serv_loss, _) = holdout_loss(serving, graph, score_from, seed)?;
     if !cand_loss.is_finite() {
         return Ok(GateReport {
@@ -542,18 +524,17 @@ mod tests {
         // Batches of 200 and 100 events before the held-out slice.
         assert!(report.steps > 0, "{report:?}");
         assert_eq!(report.steps + report.skipped, 2, "{report:?}");
-        let gate = GateConfig::default();
         let verdict = validate_candidate(
             &trainer.candidate(),
             &model,
             &graph,
             report.holdout_from,
-            &gate,
+            &GateConfig::default(),
             7,
         )
         .unwrap();
         assert!(
-            verdict.scored >= gate.min_holdout && verdict.serving_loss.is_finite(),
+            verdict.serving_loss.is_finite(),
             "the loss leg ran: {verdict:?}"
         );
     }
@@ -769,11 +750,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_degrades_to_finite_check_on_tiny_holdout() {
+    fn gate_rejects_an_empty_holdout() {
         let candidate = base_model(8);
         let serving = base_model(9);
         let graph = stream_graph(60);
-        // Hold out nothing: score_from beyond the stream.
+        // Hold out nothing: score_from at the end of the stream.
         let verdict = validate_candidate(
             &candidate,
             &serving,
@@ -783,8 +764,11 @@ mod tests {
             0,
         )
         .unwrap();
-        assert!(verdict.pass, "finite-only gate passes: {verdict:?}");
+        assert!(
+            !verdict.pass,
+            "nothing scored, nothing promoted: {verdict:?}"
+        );
         assert_eq!(verdict.scored, 0);
-        assert!(verdict.reason.contains("holdout too small"));
+        assert!(verdict.reason.contains("non-finite"), "{verdict:?}");
     }
 }

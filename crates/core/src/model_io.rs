@@ -79,7 +79,7 @@ impl ModelFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_artifact, encode_artifact, refused_payloads, to_bytes};
+    use crate::codec::{decode_artifact, encode_artifact, refused_payloads};
     use cpdg_dgnn::EncoderKind;
     use cpdg_tensor::Matrix;
     use std::path::PathBuf;
@@ -184,7 +184,7 @@ mod tests {
 
         // Every refused shape of the model file, re-sealed so only the
         // codec can catch it; then the same shapes of a training
-        // checkpoint and the serving memory file.
+        // checkpoint.
         for (what, payload) in refused_payloads(&model_payload(), 56) {
             std::fs::write(&path, crate::integrity::seal(&payload)).unwrap();
             assert_refused(ModelFile::load(&path), "model.json", what);
@@ -195,13 +195,6 @@ mod tests {
         for (what, payload) in refused_payloads(&encode_artifact(&ckpt), 36) {
             let loaded = decode_artifact::<crate::TrainCheckpoint>(&payload, &ckpt_path);
             assert_refused(loaded, "ckpt-00000007.json", what);
-        }
-        let memory = ckpt.encoder;
-        let memory_path = dir.join("memory.cpdg");
-        let pending_at = 12 + to_bytes(&memory.memory).len() + to_bytes(&memory.cell_state).len();
-        for (what, payload) in refused_payloads(&encode_artifact(&memory), pending_at) {
-            let loaded = decode_artifact::<cpdg_dgnn::EncoderState>(&payload, &memory_path);
-            assert_refused(loaded, "memory.cpdg", what);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

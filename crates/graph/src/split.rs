@@ -1,13 +1,9 @@
 //! Transfer-setting splitters (paper §V-C).
 //!
-//! The paper evaluates pre-training under three transfer settings:
-//!
-//! * **Time transfer** — pre-train on the early part of the stream,
-//!   fine-tune on the late part, same field.
-//! * **Field transfer** — pre-train on one field's events, fine-tune on
-//!   another field's events.
-//! * **Time+Field transfer** — pre-train on field A before a cut time,
-//!   fine-tune on field B after it.
+//! The paper evaluates pre-training under three transfer settings: Time,
+//! Field and Time+Field. [`time_transfer`] builds the first on a whole
+//! stream; the experiment harness (`cpdg_bench::datasets::transfer`)
+//! builds all three per field from [`subgraph_where`] and [`time_cut`].
 //!
 //! All splits preserve the parent graph's node-id universe, so a node keeps
 //! its identity (and its pre-trained memory state) across stages — the
@@ -17,7 +13,7 @@
 use crate::builder::DynamicGraphBuilder;
 use crate::builder::GraphError;
 use crate::ctdg::DynamicGraph;
-use crate::event::{FieldId, Interaction, Timestamp};
+use crate::event::{Interaction, Timestamp};
 
 /// Invalid fraction sets passed to [`chrono_boundaries`].
 #[derive(Debug, Clone, PartialEq)]
@@ -95,34 +91,6 @@ pub fn time_transfer(graph: &DynamicGraph, frac: f64) -> Result<TransferSplit, G
     Ok(TransferSplit {
         pretrain: subgraph_where(graph, |e| e.t < cut)?,
         downstream: subgraph_where(graph, |e| e.t >= cut)?,
-    })
-}
-
-/// Field transfer: events in `pretrain_fields` pre-train; events in
-/// `downstream_field` fine-tune. Both sides span the full time range.
-pub fn field_transfer(
-    graph: &DynamicGraph,
-    pretrain_fields: &[FieldId],
-    downstream_field: FieldId,
-) -> Result<TransferSplit, GraphError> {
-    Ok(TransferSplit {
-        pretrain: subgraph_where(graph, |e| pretrain_fields.contains(&e.field))?,
-        downstream: subgraph_where(graph, |e| e.field == downstream_field)?,
-    })
-}
-
-/// Time+Field transfer: `pretrain_fields` before the cut pre-train;
-/// `downstream_field` after the cut fine-tunes.
-pub fn time_field_transfer(
-    graph: &DynamicGraph,
-    pretrain_fields: &[FieldId],
-    downstream_field: FieldId,
-    frac: f64,
-) -> Result<TransferSplit, GraphError> {
-    let cut = time_cut(graph, frac);
-    Ok(TransferSplit {
-        pretrain: subgraph_where(graph, |e| e.t < cut && pretrain_fields.contains(&e.field))?,
-        downstream: subgraph_where(graph, |e| e.t >= cut && e.field == downstream_field)?,
     })
 }
 
@@ -206,33 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn field_transfer_separates_fields() {
-        let g = fielded_graph();
-        let split = field_transfer(&g, &[0], 1).unwrap();
-        assert!(split.pretrain.events().iter().all(|e| e.field == 0));
-        assert!(split.downstream.events().iter().all(|e| e.field == 1));
-        assert_eq!(split.pretrain.num_events(), 3);
-        assert_eq!(split.downstream.num_events(), 3);
-    }
-
-    #[test]
-    fn time_field_transfer_applies_both() {
-        let g = fielded_graph();
-        let split = time_field_transfer(&g, &[0], 1, 0.5).unwrap();
-        let cut = time_cut(&g, 0.5);
-        assert!(split
-            .pretrain
-            .events()
-            .iter()
-            .all(|e| e.field == 0 && e.t < cut));
-        assert!(split
-            .downstream
-            .events()
-            .iter()
-            .all(|e| e.field == 1 && e.t >= cut));
-    }
-
-    #[test]
     fn labels_follow_their_time_span() {
         let g = fielded_graph();
         let split = time_transfer(&g, 0.5).unwrap();
@@ -246,7 +187,7 @@ mod tests {
     #[test]
     fn empty_side_is_an_error() {
         let g = fielded_graph();
-        assert!(field_transfer(&g, &[0], 9).is_err());
+        assert!(subgraph_where(&g, |e| e.field == 9).is_err());
     }
 
     #[test]

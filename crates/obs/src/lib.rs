@@ -52,5 +52,5 @@ pub use json::Json;
 pub use log::{add_sink, emit_metrics, init, remove_sink, Level, LogFormat, Record, Sink, SinkId};
 pub use metrics::{counter, counter_deltas, counters_snapshot, histogram, Counter, Histogram};
 pub use run::RunDir;
-pub use sinks::{capture, Capture, JsonStderrSink, JsonlFileSink, MemorySink, TextStderrSink};
+pub use sinks::{capture, Capture, JsonStderrSink, MemorySink, TextStderrSink};
 pub use span::{span, Span};

@@ -91,11 +91,6 @@ impl RunDir {
         self.dir.join("run.json")
     }
 
-    /// `<dir>/metrics.jsonl`.
-    pub fn metrics_path(&self) -> PathBuf {
-        self.dir.join("metrics.jsonl")
-    }
-
     /// Writes (atomically: temp file + rename) `manifest` as pretty JSON
     /// to `run.json`. Callers usually include
     /// [`counters_json`](crate::metrics::counters_json) and

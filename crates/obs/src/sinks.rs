@@ -1,14 +1,12 @@
-//! Built-in sinks: stderr (text and JSONL), JSONL files, and an
-//! in-memory capture sink for tests.
+//! Built-in sinks: stderr (text and JSONL) and an in-memory capture sink
+//! for tests.
 
 use crate::json::Json;
 use crate::log::{add_sink, remove_sink, Level, Record, Sink, SinkId};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-/// Renders a record as a JSON object (shared by the JSONL sinks).
+/// Renders a record as a JSON object (the JSONL stderr format).
 pub(crate) fn record_to_json(record: &Record) -> Json {
     let mut obj = Json::obj(vec![
         ("ts_ms", Json::U64(record.unix_ms)),
@@ -101,46 +99,6 @@ impl Sink for JsonStderrSink {
     }
 }
 
-/// Appends every record (including `metrics.*`) to a file as JSONL. Used
-/// for full diagnostic traces alongside a run directory's curated
-/// `metrics.jsonl`.
-pub struct JsonlFileSink {
-    level: Level,
-    writer: Mutex<BufWriter<File>>,
-}
-
-impl JsonlFileSink {
-    /// Creates (truncating) `path` and logs records at or below `level`.
-    pub fn create(path: &Path, level: Level) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(JsonlFileSink {
-            level,
-            writer: Mutex::new(BufWriter::new(file)),
-        })
-    }
-}
-
-impl Sink for JsonlFileSink {
-    fn wants(&self, level: Level, _target: &str) -> bool {
-        level <= self.level
-    }
-    fn log(&self, record: &Record) {
-        let mut line = record_to_json(record).render();
-        line.push('\n');
-        if let Ok(mut w) = self.writer.lock() {
-            let _ = w.write_all(line.as_bytes());
-        }
-    }
-    fn max_level(&self) -> Level {
-        self.level
-    }
-    fn flush(&self) {
-        if let Ok(mut w) = self.writer.lock() {
-            let _ = w.flush();
-        }
-    }
-}
-
 /// In-memory sink capturing every record; the backbone of log-assertion
 /// tests via [`capture`].
 #[derive(Default)]
@@ -228,7 +186,7 @@ pub fn format_text(record: &Record) -> String {
     render_text_line(record)
 }
 
-/// Renders a record as the JSONL sinks would (compact JSON, no newline).
+/// Renders a record as the JSONL sink would (compact JSON, no newline).
 pub fn format_json(record: &Record) -> String {
     record_to_json(record).render()
 }
@@ -334,21 +292,5 @@ mod tests {
         // replaying old records.
         let c2 = capture();
         assert_eq!(c2.records_for("sinks.test_drop").len(), 0);
-    }
-
-    #[test]
-    fn jsonl_file_sink_writes_parseable_lines() {
-        let dir = std::env::temp_dir().join(format!("cpdg-obs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("diag.jsonl");
-        let sink = JsonlFileSink::create(&path, Level::Debug).unwrap();
-        assert!(sink.wants(Level::Info, "metrics.epoch"));
-        assert!(!sink.wants(Level::Trace, "x"));
-        sink.log(&sample());
-        sink.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.contains(r#""target":"core.checkpoint""#));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

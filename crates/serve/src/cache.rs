@@ -18,8 +18,8 @@
 //!   ingestion step), which is why [`crate::engine::Engine`] merges the
 //!   encoder's [`pending_endpoints`](cpdg_dgnn::DgnnEncoder::pending_endpoints)
 //!   into every invalidation.
-//! * **Wholesale invalidation** — hot reload (new parameters), WAL
-//!   recovery, memory restore, and drain flush clear everything: those
+//! * **Wholesale invalidation** — hot reload and epoch promotion (new
+//!   parameters), WAL recovery, and drain flush clear everything: those
 //!   replace state the per-node dependency sets do not model.
 //!
 //! Counter semantics: `hits`/`misses` count *consulted* lookups (the cache
@@ -47,19 +47,16 @@ pub enum ClearCause {
     Promotion,
     /// WAL crash recovery at startup.
     Recovery,
-    /// Encoder memory restore (`--memory-in` or state transplant).
-    Restore,
     /// Graceful drain flush (pending messages committed wholesale).
     Flush,
 }
 
 impl ClearCause {
     /// Every cause, in `STATUS` order (and counter index order).
-    pub const ALL: [ClearCause; 5] = [
+    pub const ALL: [ClearCause; 4] = [
         ClearCause::Reload,
         ClearCause::Promotion,
         ClearCause::Recovery,
-        ClearCause::Restore,
         ClearCause::Flush,
     ];
 
@@ -69,7 +66,6 @@ impl ClearCause {
             ClearCause::Reload => "reload",
             ClearCause::Promotion => "promotion",
             ClearCause::Recovery => "recovery",
-            ClearCause::Restore => "restore",
             ClearCause::Flush => "flush",
         }
     }
@@ -214,7 +210,7 @@ impl EmbedCache {
     }
 
     /// Drops everything, tagging the wholesale clear with its `cause`
-    /// (reload vs. recovery vs. epoch promotion vs. restore vs. flush).
+    /// (reload vs. recovery vs. epoch promotion vs. flush).
     /// Returns how many entries were dropped. The per-cause *clear event*
     /// count (not the entry count) feeds `STATUS`.
     pub fn clear_all(&mut self, cause: ClearCause) -> u64 {
@@ -321,7 +317,6 @@ mod tests {
         assert_eq!(c.clears(ClearCause::Reload), 1);
         assert_eq!(c.clears(ClearCause::Promotion), 2);
         assert_eq!(c.clears(ClearCause::Recovery), 1);
-        assert_eq!(c.clears(ClearCause::Restore), 0);
         assert_eq!(c.clears(ClearCause::Flush), 0);
         // Entry-count accounting is independent: only the first clear
         // actually dropped anything.

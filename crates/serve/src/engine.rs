@@ -56,10 +56,6 @@ pub struct EngineConfig {
     pub breaker_threshold: u32,
     /// While open, every `n`-th query probes the real model.
     pub breaker_probe_every: u32,
-    /// RNG seed for (re)building encoder scaffolding before weights are
-    /// overwritten from the model file. Affects nothing observable when the
-    /// model file covers all parameters, but kept explicit for determinism.
-    pub seed: u64,
     /// Whether the temporal embedding cache answers repeat queries without
     /// a forward pass. Replies are bit-identical either way (the
     /// coalescing oracle pins cache-on against cache-off); only latency
@@ -72,7 +68,6 @@ impl Default for EngineConfig {
         Self {
             breaker_threshold: 3,
             breaker_probe_every: 4,
-            seed: 0,
             cache: false,
         }
     }
@@ -115,8 +110,7 @@ struct EngineInner {
     /// pass after an ingest and consumed by the next [`apply_event`], so
     /// each event's messages are applied exactly once whether or not a
     /// query needed them first. Dropped wherever parameters or encoder
-    /// state are replaced (epoch swap, state restore, WAL checkpoint
-    /// restore, flush).
+    /// state are replaced (epoch swap, WAL checkpoint restore, flush).
     ///
     /// The cached states stay valid across `push_event` only because the
     /// message function reads neighbours *strictly before* each pending
@@ -249,14 +243,12 @@ pub struct Engine {
 }
 
 /// Builds the epoch and encoder `model`'s config describes and loads its
-/// parameters; a parameter whose shape disagrees is refused.
-fn build_epoch(
-    model: &ModelFile,
-    version: u64,
-    seed: u64,
-) -> Result<(Epoch, DgnnEncoder), ShapeMismatch> {
+/// parameters; a parameter whose shape disagrees is refused. Parameters
+/// the file lacks keep a fixed-seed initialisation, so every build of one
+/// file serves the same weights.
+fn build_epoch(model: &ModelFile, version: u64) -> Result<(Epoch, DgnnEncoder), ShapeMismatch> {
     let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(0);
     let encoder = DgnnEncoder::new(
         &mut store,
         &mut rng,
@@ -408,7 +400,7 @@ impl Engine {
         config: EngineConfig,
         hook: FaultHook,
     ) -> Result<Self, ShapeMismatch> {
-        let (epoch, encoder) = build_epoch(model, 1, config.seed)?;
+        let (epoch, encoder) = build_epoch(model, 1)?;
         let epoch = Arc::new(epoch);
         let graph = DynamicGraph::empty(model.num_nodes);
         let breaker = CircuitBreaker::new(config.breaker_threshold, config.breaker_probe_every);
@@ -545,7 +537,7 @@ impl Engine {
     /// queue depth, breaker state, counters, WAL occupancy, and what the
     /// last recovery reconstructed. `cache_clear_<cause>=` fields attribute
     /// wholesale cache clears to what triggered them (reload, epoch
-    /// promotion/rollback, WAL recovery, memory restore, drain flush), and
+    /// promotion/rollback, WAL recovery, drain flush), and
     /// a `trainer.*` block reports the continual trainer's counters with
     /// the current training generation next to the serving epoch. Unlike
     /// `STATS`, the body includes live queue/WAL occupancy, so `STATUS`
@@ -948,7 +940,7 @@ impl Engine {
                 model.num_nodes, model.encoder_config.dim, old.num_nodes, old.cfg.dim
             )));
         }
-        let (epoch, mut encoder) = build_epoch(&model, old.version + 1, self.config.seed)
+        let (epoch, mut encoder) = build_epoch(&model, old.version + 1)
             .map_err(|e| CpdgError::corrupt(path, e.to_string()))?;
         if let Err(e) = encoder.restore_state(inner.encoder.export_state()) {
             return Err(CpdgError::Invalid(format!(
@@ -1020,42 +1012,6 @@ impl Engine {
             .expect("engine lock")
             .encoder
             .export_state()
-    }
-
-    /// Restores encoder state (e.g. a `--memory-in` warm start), validating
-    /// shape compatibility against the live model. Clears the embedding
-    /// cache wholesale — restored memory invalidates everything.
-    pub fn restore_state(&self, state: EncoderState) -> Result<(), String> {
-        let mut inner = self.inner.lock().expect("engine lock");
-        let restored = inner.encoder.restore_state(state);
-        if restored.is_ok() {
-            inner.pending = None;
-            inner.cache.clear_all(ClearCause::Restore);
-        }
-        restored
-    }
-
-    /// Drain-time persistence: flush pending messages, then atomically
-    /// write the CRC-sealed encoder state to `path`. Byte-deterministic for
-    /// a given ingested event sequence, which is what the end-to-end smoke
-    /// test `cmp`s against an in-process run.
-    pub fn persist_memory(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
-        self.flush();
-        let state = self.export_state();
-        let payload = cpdg_core::codec::encode_artifact(&state);
-        storage
-            .write_atomic(path, &cpdg_core::integrity::seal(&payload))
-            .map_err(|e| CpdgError::io(path, e))
-    }
-
-    /// Loads encoder state persisted by [`Engine::persist_memory`]; a file
-    /// without its integrity footer is refused (exit 4).
-    pub fn restore_memory_file(&self, storage: &Storage, path: &Path) -> CpdgResult<()> {
-        let bytes = storage.read(path).map_err(|e| CpdgError::io(path, e))?;
-        let payload = cpdg_core::integrity::unseal(&bytes, path)?;
-        let state: EncoderState = cpdg_core::codec::decode_artifact(payload, path)?;
-        self.restore_state(state)
-            .map_err(|e| CpdgError::corrupt(path, e))
     }
 
     /// Whether the circuit breaker is currently open (diagnostics).
@@ -1491,7 +1447,6 @@ mod tests {
                         cache,
                         breaker_threshold: 2,
                         breaker_probe_every: 2,
-                        ..EngineConfig::default()
                     },
                     FaultHook::install(&plan),
                 )
@@ -1604,8 +1559,7 @@ mod tests {
         for (name, cfg) in wirings {
             let model = model_with(cfg, 7);
             let engine = Engine::from_model(&model, EngineConfig::default(), FaultHook::none());
-            let (epoch, mut reference) =
-                build_epoch(&model, 1, EngineConfig::default().seed).unwrap();
+            let (epoch, mut reference) = build_epoch(&model, 1).unwrap();
             let mut graph = DynamicGraph::empty(model.num_nodes);
             for &(src, dst, t) in &events {
                 ingest_events(&engine, &[(src, dst, t)]);
@@ -1674,31 +1628,26 @@ mod tests {
         };
 
         // New weights: a reload and a promotion each drop the states the
-        // old weights applied.
+        // old weights applied. The expected engine runs the same swap
+        // without a query before it.
         for swap in ["reload", "promotion"] {
+            let swap_in_other = |engine: &Engine| {
+                if swap == "reload" {
+                    let reply = engine.execute(Command::Reload {
+                        path: other_path.display().to_string(),
+                    });
+                    assert!(matches!(reply, Reply::Ok { .. }), "{reply:?}");
+                } else {
+                    engine.promote_epoch(&other_path).unwrap();
+                }
+            };
             let engine = fresh(&model, &events);
             probe(&engine);
-            if swap == "reload" {
-                let reply = engine.execute(Command::Reload {
-                    path: other_path.display().to_string(),
-                });
-                assert!(matches!(reply, Reply::Ok { .. }), "{reply:?}");
-            } else {
-                engine.promote_epoch(&other_path).unwrap();
-            }
-            let expected = fresh(&other, &events);
-            expected.restore_state(engine.export_state()).unwrap();
+            swap_in_other(&engine);
+            let expected = fresh(&model, &events);
+            swap_in_other(&expected);
             assert_eq!(probe(&engine), probe(&expected), "{swap}");
         }
-
-        // A restored state brings its own pending batch.
-        let engine = fresh(&model, &events);
-        probe(&engine);
-        let restored = fresh(&model, &[(0, 3, 1.0), (3, 1, 2.5)]).export_state();
-        engine.restore_state(restored.clone()).unwrap();
-        let expected = fresh(&model, &events);
-        expected.restore_state(restored).unwrap();
-        assert_eq!(probe(&engine), probe(&expected), "restore_state");
 
         // A flush commits the pending batch and leaves none.
         let engine = fresh(&model, &events);
@@ -1839,7 +1788,7 @@ mod tests {
              degraded=0 shed=0 errors=0 reloads=1 worker_panics=0 batches=0 cache=on \
              cache_hits=1 cache_misses=1 cache_invalidations=1 cache_entries=0 \
              cache_clear_reload=1 cache_clear_promotion=1 cache_clear_recovery=0 \
-             cache_clear_restore=0 cache_clear_flush=1 wal=0 wal_segments=0 wal_bytes=0 \
+             cache_clear_flush=1 wal=0 wal_segments=0 wal_bytes=0 \
              wal_next_index=0 recovered_from_checkpoint=0 recovered_replayed=0 \
              recovered_truncated_bytes=0 trainer=off trainer.windows=0 trainer.candidates=0 \
              trainer.promotions=1 trainer.rollbacks=0 trainer.quarantined=0 \

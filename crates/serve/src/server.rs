@@ -20,8 +20,8 @@
 //!
 //! Graceful drain ([`Server::shutdown`]): stop accepting connections,
 //! close the queue (new requests shed), let workers finish every admitted
-//! job, join them. Memory persistence is the caller's move afterwards
-//! ([`Engine::persist_memory`]) so the CLI controls where state lands.
+//! job, join them. Persisting state is the caller's move afterwards (the
+//! CLI writes the WAL drain checkpoint, [`Engine::checkpoint_wal`]).
 
 use crate::engine::{Engine, Stat};
 use crate::protocol::{parse_line, ErrKind, Reply};
@@ -253,7 +253,7 @@ fn handle_connection(
 
 impl Server {
     /// Binds and starts accepting. The engine is shared — callers keep
-    /// their own [`Arc`] for drain-time persistence.
+    /// their own [`Arc`] for the drain-time checkpoint.
     pub fn start(engine: Arc<Engine>, config: &ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
@@ -340,7 +340,7 @@ impl Server {
 
     /// Graceful drain: stop accepting, shed new requests, finish and
     /// answer every admitted one, join the workers.
-    /// Returns the engine so the caller can persist memory.
+    /// Returns the engine so the caller can checkpoint it.
     pub fn shutdown(mut self) -> Arc<Engine> {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
@@ -372,15 +372,12 @@ mod tests {
     use cpdg_dgnn::{DgnnConfig, EncoderKind};
     use cpdg_tensor::ParamStore;
 
-    fn tiny_engine(workers_seed: u64) -> Arc<Engine> {
+    fn tiny_engine() -> Arc<Engine> {
         let cfg = DgnnConfig::preset(EncoderKind::Tgn, 8, 100.0);
         let model = ModelFile::new(cfg, 6, ParamStore::new(), Vec::new());
         Arc::new(Engine::from_model(
             &model,
-            EngineConfig {
-                seed: workers_seed,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
             FaultHook::none(),
         ))
     }
@@ -395,7 +392,7 @@ mod tests {
 
     #[test]
     fn serves_ping_event_emb_score_over_tcp() {
-        let server = Server::start(tiny_engine(0), &ServerConfig::default()).unwrap();
+        let server = Server::start(tiny_engine(), &ServerConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
 
@@ -432,7 +429,7 @@ mod tests {
     #[test]
     fn replies_stay_in_order_on_one_connection_with_many_workers() {
         let server = Server::start(
-            tiny_engine(0),
+            tiny_engine(),
             &ServerConfig {
                 workers: 4,
                 ..ServerConfig::default()
@@ -450,7 +447,7 @@ mod tests {
 
     #[test]
     fn drain_sheds_new_requests_but_answers_admitted_ones() {
-        let engine = tiny_engine(0);
+        let engine = tiny_engine();
         let queue = BoundedQueue::<Job>::new(4);
         let hook = FaultHook::none();
         // Admitted before drain: pushed into the queue.
@@ -483,7 +480,7 @@ mod tests {
 
     #[test]
     fn status_reports_key_value_health() {
-        let server = Server::start(tiny_engine(0), &ServerConfig::default()).unwrap();
+        let server = Server::start(tiny_engine(), &ServerConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         assert_eq!(
@@ -618,7 +615,7 @@ mod tests {
 
     #[test]
     fn blank_lines_are_not_requests() {
-        let engine = tiny_engine(0);
+        let engine = tiny_engine();
         let queue = BoundedQueue::<Job>::new(4);
         assert!(process_line("", &engine, &queue, &FaultHook::none()).is_none());
         assert!(process_line("   ", &engine, &queue, &FaultHook::none()).is_none());

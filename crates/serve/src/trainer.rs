@@ -144,7 +144,8 @@ pub struct TrainerRuntime {
     /// Stream length at the last promotion: a cycle over a stream still
     /// that long is idle. Faulted and quarantined cycles record nothing,
     /// so they retry on the same stream; a rollback keeps the record, so
-    /// the rolled-back candidate is not rebuilt from the same events.
+    /// the rolled-back candidate is not rebuilt from the same events. The
+    /// promoted pointer seals it, so a restart keeps it too.
     promoted_len: Option<usize>,
 }
 
@@ -163,7 +164,13 @@ impl TrainerRuntime {
         let trainer =
             ContinualTrainer::from_model(&serving_model, serving_path, cfg.continual.clone())?;
         let hook = engine.fault_hook();
-        let generation = recover_generation(&cfg.epoch_dir);
+        let promoted = read_promoted(&cfg.epoch_dir).ok().flatten();
+        let generation = recover_generation(&cfg.epoch_dir, promoted.as_ref());
+        // A restart serving the last promotion keeps its record, so an
+        // unchanged recovered stream does not retrain.
+        let promoted_len = promoted
+            .filter(|p| p.model == serving_path)
+            .and_then(|p| p.stream_len);
         let num_nodes = serving_model.num_nodes;
         engine.set(Stat::Trainer, 1);
         Ok(Self {
@@ -176,7 +183,7 @@ impl TrainerRuntime {
             stream: cpdg_graph::DynamicGraph::empty(num_nodes),
             generation,
             probation: None,
-            promoted_len: None,
+            promoted_len,
         })
     }
 
@@ -316,7 +323,12 @@ impl TrainerRuntime {
         let version = self.engine.rollback_epoch(&p.fallback)?;
         self.serving_model = ModelFile::load(&p.fallback)?;
         self.serving_path = p.fallback.clone();
-        write_promoted(&self.cfg.epoch_dir, self.generation, &p.fallback)?;
+        write_promoted(
+            &self.cfg.epoch_dir,
+            self.generation,
+            &p.fallback,
+            self.promoted_len,
+        )?;
         Ok(version)
     }
 
@@ -428,8 +440,8 @@ impl TrainerRuntime {
         // Promotion is live; seal the pointer so a crash from here on
         // restarts into this epoch. The swap above and this write are the
         // two halves of the promotion cut point the kill oracle exercises.
-        write_promoted(&self.cfg.epoch_dir, generation, &path)?;
         self.promoted_len = Some(self.stream.num_events());
+        write_promoted(&self.cfg.epoch_dir, generation, &path, self.promoted_len)?;
         self.probation = Some(Probation {
             trips: self.engine.breaker_trips(),
             cycles_left: self.cfg.probation_cycles,
@@ -449,17 +461,26 @@ impl TrainerRuntime {
     }
 }
 
-/// Atomically writes the sealed promoted-epoch pointer: `generation` and
-/// the serving model path (verbatim — a rollback may point outside the
-/// epoch dir, back at the base model), CRC-sealed so a torn write is
+/// Atomically writes the sealed promoted-epoch pointer: `generation`, the
+/// serving model path (verbatim — a rollback may point outside the epoch
+/// dir, back at the base model) and, when known, the stream length the
+/// promotion trained on, one per line. CRC-sealed so a torn write is
 /// detected rather than silently followed, in both copies
 /// (`promoted.cpdg`, `promoted.cpdg.r1`) so a later bit flip in either
 /// heals on read instead of refusing.
-pub fn write_promoted(epoch_dir: &Path, generation: u64, model: &Path) -> CpdgResult<()> {
+pub fn write_promoted(
+    epoch_dir: &Path,
+    generation: u64,
+    model: &Path,
+    stream_len: Option<usize>,
+) -> CpdgResult<()> {
     let name = model
         .to_str()
         .ok_or_else(|| CpdgError::Invalid(format!("unnameable model path {}", model.display())))?;
-    let payload = format!("{generation}\n{name}");
+    let mut payload = format!("{generation}\n{name}");
+    if let Some(len) = stream_len {
+        payload.push_str(&format!("\n{len}"));
+    }
     let pointer = epoch_dir.join(PROMOTED_POINTER);
     cpdg_core::scrub::write_replicated(
         &FS_STORAGE,
@@ -478,6 +499,10 @@ pub struct PromotedEpoch {
     /// Path of the promoted model file (verbatim as sealed; a rollback
     /// may point outside the epoch dir, back at the base model).
     pub model: PathBuf,
+    /// Stream length the promotion trained on: a trainer restarted over
+    /// a stream still that long is idle. `None` for a two-line pointer
+    /// from an earlier build.
+    pub stream_len: Option<usize>,
 }
 
 /// Reads the promoted-epoch pointer through its copy set: a corrupt copy
@@ -504,6 +529,11 @@ pub fn read_promoted(epoch_dir: &Path) -> CpdgResult<Option<PromotedEpoch>> {
     let name = lines
         .next()
         .ok_or_else(|| CpdgError::corrupt(&pointer, "missing model path line".to_string()))?;
+    let stream_len = lines
+        .next()
+        .map(|l| l.parse::<usize>())
+        .transpose()
+        .map_err(|e| CpdgError::corrupt(&pointer, format!("bad stream length line: {e}")))?;
     let model = PathBuf::from(name);
     if !model.exists() {
         return Err(CpdgError::corrupt(
@@ -511,7 +541,11 @@ pub fn read_promoted(epoch_dir: &Path) -> CpdgResult<Option<PromotedEpoch>> {
             "promoted pointer names a missing model file".to_string(),
         ));
     }
-    Ok(Some(PromotedEpoch { generation, model }))
+    Ok(Some(PromotedEpoch {
+        generation,
+        model,
+        stream_len,
+    }))
 }
 
 /// The candidate generation a restarting trainer must resume above: the
@@ -521,11 +555,8 @@ pub fn read_promoted(epoch_dir: &Path) -> CpdgResult<Option<PromotedEpoch>> {
 /// An unreadable pointer or directory contributes nothing: the scan is
 /// best-effort, and the emit-time serving-path collision check backstops
 /// it.
-fn recover_generation(epoch_dir: &Path) -> u64 {
-    let mut max = match read_promoted(epoch_dir) {
-        Ok(Some(p)) => p.generation,
-        _ => 0,
-    };
+fn recover_generation(epoch_dir: &Path, promoted: Option<&PromotedEpoch>) -> u64 {
+    let mut max = promoted.map_or(0, |p| p.generation);
     for dir in [epoch_dir.to_path_buf(), epoch_dir.join(QUARANTINE_DIR)] {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             continue;
@@ -713,6 +744,31 @@ mod tests {
     }
 
     #[test]
+    fn a_restarted_trainer_keeps_its_promotion_record() {
+        let dir = test_dir("restart-idle");
+        let (engine, mut rt, _) = runtime_with(&dir, FaultHook::none(), |_| {});
+        stream_events(&engine, 64);
+        assert!(matches!(
+            rt.run_cycle().unwrap(),
+            CycleOutcome::Promoted { .. }
+        ));
+        let cfg = rt.cfg.clone();
+        drop(rt);
+
+        // A restart serving the promoted epoch over the same stream: the
+        // stream has not grown since the promotion, so nothing retrains.
+        let epochs = dir.join("epochs");
+        let promoted = read_promoted(&epochs).unwrap().unwrap();
+        let mut rt = TrainerRuntime::new(Arc::clone(&engine), &promoted.model, cfg).unwrap();
+        assert_eq!(rt.run_cycle().unwrap(), CycleOutcome::Idle);
+        assert!(
+            !epochs.join("candidate-g2.json").exists(),
+            "no candidate is emitted from the events the promotion saw"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn restart_resumes_generation_above_the_promoted_pointer() {
         let dir = test_dir("restart-gen");
         let (engine, mut rt, _) = runtime_with(&dir, FaultHook::none(), |_| {});
@@ -743,7 +799,8 @@ mod tests {
         cfg.continual.guard = GuardConfig::never_diverge();
         let mut rt = TrainerRuntime::new(Arc::clone(&engine), &promoted.model, cfg).unwrap();
         assert_eq!(rt.generation, 1, "generation recovered from the pointer");
-        stream_events(&engine, 64);
+        // More events than the promotion saw, so the cycle trains.
+        stream_events(&engine, 80);
         match rt.run_cycle().unwrap() {
             CycleOutcome::Promoted { .. } | CycleOutcome::Quarantined(_) => {}
             other => panic!("expected a generation-2 candidate, got {other:?}"),

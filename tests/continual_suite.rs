@@ -250,10 +250,15 @@ fn kill_nine_at_every_trainer_cut_point_recovers_deterministically() {
             let mut rt =
                 TrainerRuntime::new(Arc::clone(&engine), &serving, trainer_cfg(epochs.clone()))
                     .unwrap();
+            // The recovered stream is the one the promotion trained on:
+            // the pointer's record keeps the re-attached trainer idle
+            // until the stream grows.
+            assert_eq!(rt.run_cycle().unwrap(), CycleOutcome::Idle, "{name}");
+            feed(&[&engine], &events(64, 64));
             let outcome = rt.run_cycle().unwrap();
             assert!(
                 !matches!(outcome, CycleOutcome::Idle),
-                "{name}: recovered stream must be trainable, got {outcome:?}"
+                "{name}: a grown stream must be trainable, got {outcome:?}"
             );
             assert_eq!(
                 std::fs::read(&g1).unwrap(),

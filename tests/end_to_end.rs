@@ -8,8 +8,9 @@ use cpdg::core::pipeline::{
 };
 use cpdg::core::{EieFusion, FinetuneStrategy};
 use cpdg::dgnn::EncoderKind;
-use cpdg::graph::split::{field_transfer, time_field_transfer, time_transfer};
-use cpdg::graph::{generate, SyntheticConfig, TransferSplit};
+use cpdg::graph::split::time_transfer;
+use cpdg::graph::{generate, SyntheticConfig};
+use cpdg_bench::{transfer, Setting};
 
 fn quick(mut cfg: PipelineConfig) -> PipelineConfig {
     cfg.dim = 8;
@@ -34,14 +35,11 @@ fn amazon_like(seed: u64) -> cpdg::graph::SyntheticDataset {
 #[test]
 fn all_three_transfer_settings_produce_valid_metrics() {
     let ds = amazon_like(0);
-    let splits: Vec<TransferSplit> = vec![
-        time_transfer(&ds.graph, 0.6).unwrap(),
-        field_transfer(&ds.graph, &[2], 0).unwrap(),
-        time_field_transfer(&ds.graph, &[2], 0, 0.6).unwrap(),
-    ];
     let cfg = quick(PipelineConfig::cpdg(EncoderKind::Tgn).with_seed(0));
-    for split in &splits {
-        let res = run_link_prediction(split, &cfg, false);
+    for setting in Setting::all() {
+        // Field 2 pre-trains for field 0, as in the paper's Amazon split.
+        let split = transfer(&ds, setting, 0, 2, 0.6);
+        let res = run_link_prediction(&split, &cfg, false);
         assert!((0.0..=1.0).contains(&res.auc), "auc {}", res.auc);
         assert!((0.0..=1.0 + 1e-6).contains(&res.ap), "ap {}", res.ap);
         assert!(res.val_auc.is_finite());

@@ -284,7 +284,7 @@ fn a_crash_between_corruption_detection_and_repair_recovers_deterministically() 
     let base = base_model(&dir);
     let epochs = dir.join("epochs");
     std::fs::create_dir_all(&epochs).unwrap();
-    write_promoted(&epochs, 1, &base).unwrap();
+    write_promoted(&epochs, 1, &base, None).unwrap();
     let pointer = epochs.join("promoted.cpdg");
     flip(&pointer);
 
@@ -457,7 +457,7 @@ fn every_single_byte_flip_of_pointer_and_epoch_files_is_refused_by_their_loaders
     // another, so footer flips are always unparseable — the property
     // test below covers arbitrary bit positions.)
     tiny.save(&model_path).unwrap();
-    write_promoted(&epochs, 1, &model_path).unwrap();
+    write_promoted(&epochs, 1, &model_path, None).unwrap();
     let pointer = epochs.join("promoted.cpdg");
     std::fs::remove_file(scrub::replica_path(&pointer, 1)).unwrap();
 

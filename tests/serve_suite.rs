@@ -10,7 +10,7 @@
 //! * every reply the model *does* serve is bit-identical to the fault-free
 //!   run at the same script position — shedding, breaker trips, and failed
 //!   reloads must leave no trace once the breaker re-closes;
-//! * the memory persisted at drain is byte-identical to the fault-free
+//! * the memory drained at the end is byte-identical to the fault-free
 //!   run's, because ingestion is never faulted and queries never commit.
 //!
 //! Determinism rests on the serve design: a single connection is lockstep
@@ -25,7 +25,6 @@ mod support;
 
 use cpdg::core::chaos::FaultKind::{Permanent, Transient};
 use cpdg::core::chaos::{FaultHook, FaultPlan, FaultPoint, Trigger};
-use cpdg::core::storage::FS_STORAGE;
 use cpdg::serve::{render_floats, CycleOutcome, Engine, EngineConfig, Server, ServerConfig, Stat};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -307,9 +306,6 @@ fn concurrent_clients_with_hot_reloads_lose_nothing_and_see_monotone_versions() 
         0,
         "queue never filled under lockstep"
     );
-    engine
-        .persist_memory(&FS_STORAGE, &dir.join("mem.json"))
-        .expect("post-stress drain persists");
 }
 
 /// A char outside Unicode's control category: printable ASCII half the

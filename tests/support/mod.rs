@@ -408,7 +408,7 @@ pub struct Crash {
 pub struct Run {
     /// One reply per script line that is not a directive.
     pub replies: Vec<String>,
-    /// The engine state persisted at drain.
+    /// The encoder state the engine drained, encoded.
     pub memory: Vec<u8>,
     /// The engine that drained.
     pub engine: Arc<Engine>,
@@ -421,7 +421,7 @@ pub struct Run {
 static RUNS: AtomicUsize = AtomicUsize::new(0);
 
 /// Runs `script` against an engine serving `model` under `cfg`, then
-/// drains it and persists its memory.
+/// drains it and records its encoder state.
 pub fn run(model: &ModelFile, script: &[String], cfg: &Config) -> Run {
     let dir = test_dir(&format!("run{}", RUNS.fetch_add(1, Ordering::Relaxed)));
     let (base, epochs, wal) = (dir.join("base.json"), dir.join("epochs"), dir.join("wal"));
@@ -449,7 +449,7 @@ pub fn run(model: &ModelFile, script: &[String], cfg: &Config) -> Run {
     let mut i = 0;
     loop {
         if crash_at == Some(i) {
-            // kill -9 analog: no drain, no checkpoint, no persist.
+            // kill -9 analog: no drain, no checkpoint.
             drop(process.stop());
             if cfg.crash.is_some_and(|c| c.flip) {
                 let copy = sealed_interior_segments(&wal)
@@ -485,11 +485,8 @@ pub fn run(model: &ModelFile, script: &[String], cfg: &Config) -> Run {
         i = end;
     }
     let engine = process.stop();
-    let path = dir.join("memory");
-    engine
-        .persist_memory(&FS_STORAGE, &path)
-        .expect("persist drained memory");
-    let memory = std::fs::read(&path).unwrap();
+    engine.flush();
+    let memory = cpdg::core::codec::to_bytes(&engine.export_state());
     Run {
         replies,
         memory,
