@@ -147,12 +147,13 @@ scrub <dir> …` runs the same sweep offline, printing a report and
 exiting 4 if any artifact has no sound copy left.
 
 Coalescing & caching: --batch N (default 1) lets each worker drain up
-to N contiguous queued queries and run them on one shared forward tape;
+to N contiguous queued queries and run them in one engine call;
 --cache on (default off) replays repeat queries from a temporal
-embedding cache invalidated per-node by EVENTs and wholesale by
-RELOAD/recovery. Both are latency knobs only: replies are bit-identical
-to --batch 1 --cache off (STATUS reports batches, cache_hits,
-cache_misses, cache_invalidations, cache_entries).
+embedding cache that every applied EVENT empties, as do RELOAD,
+promotion, recovery and drain (at most 4096 entries). Both are
+latency knobs only: replies are bit-identical to --batch 1 --cache off
+(STATUS reports batches, cache_hits, cache_misses, cache_invalidations,
+cache_entries).
 
 Signals: `pretrain` also traps SIGTERM/SIGINT — it publishes a final
 checkpoint (with --ckpt-dir) and exits with code 8 so schedulers can tell

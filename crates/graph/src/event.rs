@@ -35,28 +35,6 @@ pub struct Interaction {
     pub idx: usize,
 }
 
-impl Interaction {
-    /// The two endpoints of this interaction, `[src, dst]`.
-    pub fn endpoints(&self) -> [NodeId; 2] {
-        [self.src, self.dst]
-    }
-}
-
-/// Deduplicated, sorted set of node ids touched by `events` — every
-/// endpoint of every event, each id once. This is the invalidation set a
-/// serving-side embedding cache must drop when the events are applied:
-/// precisely these nodes' memory rows (and pending on-tape updates) can
-/// change, so any cached embedding depending on one of them is stale.
-pub fn touched_nodes<'a>(events: impl IntoIterator<Item = &'a Interaction>) -> Vec<NodeId> {
-    let mut nodes: Vec<NodeId> = events
-        .into_iter()
-        .flat_map(|e| e.endpoints().into_iter())
-        .collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    nodes
-}
-
 /// A dynamic node-state label `(node, t, label)` — e.g. "user banned at t"
 /// in Wikipedia/Reddit or "student dropped out at t" in MOOC.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,24 +45,4 @@ pub struct LabelEvent {
     pub t: Timestamp,
     /// The binary state.
     pub label: bool,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn touched_nodes_dedups_and_sorts_endpoints() {
-        let mk = |src, dst, idx| Interaction {
-            src,
-            dst,
-            t: idx as Timestamp,
-            field: 0,
-            idx,
-        };
-        let events = [mk(5, 2, 0), mk(2, 9, 1), mk(9, 9, 2)];
-        assert_eq!(touched_nodes(events.iter()), vec![2, 5, 9]);
-        assert_eq!(touched_nodes([].iter()), Vec::<NodeId>::new());
-        assert_eq!(mk(5, 2, 0).endpoints(), [5, 2]);
-    }
 }

@@ -28,7 +28,7 @@ pub mod synthetic;
 
 pub use builder::{graph_from_triples, DynamicGraphBuilder, GraphError};
 pub use ctdg::{DynamicGraph, NeighborEntry};
-pub use event::{touched_nodes, FieldId, Interaction, LabelEvent, NodeId, Timestamp};
+pub use event::{FieldId, Interaction, LabelEvent, NodeId, Timestamp};
 pub use split::{SplitError, TransferSplit};
 pub use stats::GraphStats;
 pub use synthetic::{generate, SyntheticConfig, SyntheticDataset};

@@ -3,36 +3,43 @@
 //! A query's reply values are a pure function of (epoch parameters, node
 //! memory + pending messages, event log, queried nodes, query time), so a
 //! reply computed once can be replayed from cache *bit-identically* as long
-//! as none of those inputs changed. The cache tracks exactly that:
+//! as none of those inputs changed. The rule is: **an entry is valid until
+//! the next applied `EVENT`.**
 //!
 //! * **Key** — the query signature: its nodes, the resolved query time
 //!   (bit pattern, so `-0.0` vs `0.0` never aliases), and whether it is a
 //!   `SCORE` (head applied) or an `EMB` (raw embedding).
-//! * **Dependency set** — the node ids whose state the forward pass read:
-//!   the queried nodes themselves plus each one's recent temporal
-//!   neighbours at the query time (attention reads their states; the JODIE
-//!   gate reads the node's own `last_update`). An entry is dropped when any
-//!   [`EVENT` touched set](cpdg_graph::touched_nodes) intersects it — the
-//!   touched set of an applied event is its endpoints **plus the previous
-//!   pending endpoints** (those get committed to memory by the same
-//!   ingestion step), which is why [`crate::engine::Engine`] merges the
-//!   encoder's [`pending_endpoints`](cpdg_dgnn::DgnnEncoder::pending_endpoints)
-//!   into every invalidation.
-//! * **Wholesale invalidation** — hot reload and epoch promotion (new
-//!   parameters), WAL recovery, and drain flush clear everything: those
-//!   replace state the per-node dependency sets do not model.
+//! * **Per-`EVENT` invalidation** — every applied event commits the
+//!   pending memory update and adds a neighbour, so
+//!   [`crate::engine::Engine`] empties the cache on each one
+//!   ([`EmbedCache::invalidate`]). A refused `EVENT` (validation failure
+//!   or failed WAL append) mutates nothing and drops nothing. `t`-less
+//!   queries resolve to the newest event time, so after an `EVENT` that
+//!   advances time they could not hit an older entry anyway.
+//! * **Wholesale clears** — hot reload and epoch promotion (new
+//!   parameters), WAL recovery, and drain flush drop everything too, and
+//!   are counted per cause.
+//! * **Capacity** — between two `EVENT`s, distinct queries (say, explicit
+//!   times `EMB 0 1.0`, `EMB 0 2.0`, …) each add an entry; an insert that
+//!   would exceed [`CAPACITY`] entries drops everything first.
 //!
 //! Counter semantics: `hits`/`misses` count *consulted* lookups (the cache
 //! is consulted after breaker admission, before the `serve.infer` fault
 //! point — mirroring where the forward pass would start), `invalidations`
-//! counts dropped entries. The counters live here, one per engine, and
-//! `STATUS` reports them. A coalesced run of queries looks each member up
-//! in FIFO order, like a run of singletons, so a repeat query later in the
-//! same run hits exactly as it would alone — and reply bytes are pinned
-//! bit-identical by the coalescing oracle either way.
+//! counts every dropped entry, whatever dropped it. The counters live
+//! here, one per engine, and `STATUS` reports them. A coalesced run of
+//! queries looks each member up in FIFO order, like a run of singletons,
+//! so a repeat query later in the same run hits exactly as it would alone
+//! — and reply bytes are pinned bit-identical by the coalescing oracle
+//! either way.
 
 use cpdg_graph::NodeId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+
+/// Most entries the cache holds. Far above what a serving workload keeps
+/// between two `EVENT`s, so only a query-only flood of distinct keys
+/// reaches it.
+pub const CAPACITY: usize = 4096;
 
 /// Why the cache was wholesale-cleared. Reload, recovery, and epoch
 /// promotion all drop every entry, but they are operationally very
@@ -94,18 +101,11 @@ impl CacheKey {
     }
 }
 
-struct CacheEntry {
-    values: Vec<f32>,
-    deps: Vec<NodeId>,
-}
-
 /// The embedding/score cache. Owned by the engine's inner state, so every
 /// access is already serialised under the engine lock.
 #[derive(Default)]
 pub struct EmbedCache {
-    entries: HashMap<CacheKey, CacheEntry>,
-    /// Reverse index: node id → keys whose dependency set contains it.
-    dep_index: HashMap<NodeId, HashSet<CacheKey>>,
+    entries: HashMap<CacheKey, Vec<f32>>,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -139,7 +139,7 @@ impl EmbedCache {
         self.misses
     }
 
-    /// Entries dropped by per-node or wholesale invalidation.
+    /// Entries dropped by `EVENT`s, by the capacity bound, or wholesale.
     pub fn invalidations(&self) -> u64 {
         self.invalidations
     }
@@ -148,9 +148,9 @@ impl EmbedCache {
     /// miss counter.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<Vec<f32>> {
         match self.entries.get(key) {
-            Some(entry) => {
+            Some(values) => {
                 self.hits += 1;
-                Some(entry.values.clone())
+                Some(values.clone())
             }
             None => {
                 self.misses += 1;
@@ -159,52 +159,21 @@ impl EmbedCache {
         }
     }
 
-    /// Stores `values` for `key`, depending on `deps` (the key's own nodes
-    /// are always added, so callers only need to pass what the forward
-    /// pass read *beyond* them). Overwrites any previous entry for the
-    /// key.
-    pub fn insert(&mut self, key: CacheKey, values: Vec<f32>, deps: &[NodeId]) {
-        let mut all_deps: Vec<NodeId> = key
-            .nodes
-            .iter()
-            .copied()
-            .chain(deps.iter().copied())
-            .collect();
-        all_deps.sort_unstable();
-        all_deps.dedup();
-        if let Some(old) = self.entries.remove(&key) {
-            self.unindex(&key, &old.deps);
+    /// Stores `values` for `key`, overwriting any previous entry for it.
+    /// The engine inserts only after a missed lookup, so a full cache is
+    /// emptied first and never holds more than [`CAPACITY`] entries.
+    pub fn insert(&mut self, key: CacheKey, values: Vec<f32>) {
+        if self.entries.len() >= CAPACITY {
+            self.invalidate();
         }
-        for &d in &all_deps {
-            self.dep_index.entry(d).or_default().insert(key.clone());
-        }
-        self.entries.insert(
-            key,
-            CacheEntry {
-                values,
-                deps: all_deps,
-            },
-        );
+        self.entries.insert(key, values);
     }
 
-    /// Drops every entry whose dependency set intersects `touched`,
-    /// returning how many were dropped. This is the per-`EVENT`
-    /// invalidation: `touched` must be the event's endpoints merged with
-    /// the previously-pending endpoints the ingestion step committed.
-    pub fn invalidate_nodes(&mut self, touched: &[NodeId]) -> u64 {
-        let mut doomed: HashSet<CacheKey> = HashSet::new();
-        for n in touched {
-            if let Some(keys) = self.dep_index.get(n) {
-                doomed.extend(keys.iter().cloned());
-            }
-        }
-        let mut dropped = 0u64;
-        for key in doomed {
-            if let Some(entry) = self.entries.remove(&key) {
-                self.unindex(&key, &entry.deps);
-                dropped += 1;
-            }
-        }
+    /// Drops every entry, returning how many were dropped: the
+    /// per-`EVENT` invalidation, which no `STATUS` clear cause counts.
+    pub fn invalidate(&mut self) -> u64 {
+        let dropped = self.entries.len() as u64;
+        self.entries.clear();
         self.invalidations += dropped;
         dropped
     }
@@ -214,28 +183,13 @@ impl EmbedCache {
     /// Returns how many entries were dropped. The per-cause *clear event*
     /// count (not the entry count) feeds `STATUS`.
     pub fn clear_all(&mut self, cause: ClearCause) -> u64 {
-        let dropped = self.entries.len() as u64;
-        self.entries.clear();
-        self.dep_index.clear();
-        self.invalidations += dropped;
         self.clears[cause as usize] += 1;
-        dropped
+        self.invalidate()
     }
 
     /// Number of wholesale clears attributed to `cause`.
     pub fn clears(&self, cause: ClearCause) -> u64 {
         self.clears[cause as usize]
-    }
-
-    fn unindex(&mut self, key: &CacheKey, deps: &[NodeId]) {
-        for d in deps {
-            if let Some(set) = self.dep_index.get_mut(d) {
-                set.remove(key);
-                if set.is_empty() {
-                    self.dep_index.remove(d);
-                }
-            }
-        }
     }
 }
 
@@ -248,7 +202,7 @@ mod tests {
         let mut c = EmbedCache::new();
         let k = CacheKey::new(&[3], 1.5, false);
         assert_eq!(c.lookup(&k), None);
-        c.insert(k.clone(), vec![1.0, 2.0], &[7]);
+        c.insert(k.clone(), vec![1.0, 2.0]);
         assert_eq!(c.lookup(&k), Some(vec![1.0, 2.0]));
         assert_eq!((c.hits(), c.misses()), (1, 1));
     }
@@ -256,7 +210,7 @@ mod tests {
     #[test]
     fn distinct_times_kinds_and_node_orders_never_alias() {
         let mut c = EmbedCache::new();
-        c.insert(CacheKey::new(&[1, 2], 1.0, true), vec![0.5], &[]);
+        c.insert(CacheKey::new(&[1, 2], 1.0, true), vec![0.5]);
         let mut hit = |k: CacheKey| c.lookup(&k).is_some();
         assert!(!hit(CacheKey::new(&[1, 2], 2.0, true)), "time differs");
         assert!(!hit(CacheKey::new(&[2, 1], 1.0, true)), "order differs");
@@ -268,38 +222,35 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_is_per_dependency_node() {
+    fn invalidate_drops_every_entry_without_a_clear_cause() {
         let mut c = EmbedCache::new();
-        // Entry on node 1 depending on neighbour 5; entry on node 2 alone.
-        c.insert(CacheKey::new(&[1], 1.0, false), vec![1.0], &[5]);
-        c.insert(CacheKey::new(&[2], 1.0, false), vec![2.0], &[]);
-        assert_eq!(c.invalidate_nodes(&[5, 9]), 1, "only the 5-dependent entry");
-        assert_eq!(c.lookup(&CacheKey::new(&[1], 1.0, false)), None);
-        assert_eq!(
-            c.lookup(&CacheKey::new(&[2], 1.0, false)),
-            Some(vec![2.0]),
-            "unrelated survives"
-        );
-        assert_eq!(c.invalidations(), 1);
-        assert_eq!(c.invalidate_nodes(&[5]), 0, "idempotent");
+        c.insert(CacheKey::new(&[1], 1.0, false), vec![1.0]);
+        c.insert(CacheKey::new(&[4, 6], 2.0, true), vec![0.1]);
+        assert_eq!(c.invalidate(), 2);
+        assert!(c.is_empty());
+        assert_eq!(c.invalidations(), 2);
+        assert!(ClearCause::ALL.iter().all(|&cause| c.clears(cause) == 0));
+        assert_eq!(c.invalidate(), 0, "idempotent");
     }
 
     #[test]
-    fn own_nodes_are_always_dependencies() {
+    fn a_full_cache_empties_before_the_next_insert() {
         let mut c = EmbedCache::new();
-        c.insert(CacheKey::new(&[4, 6], 2.0, true), vec![0.1], &[]);
-        assert_eq!(
-            c.invalidate_nodes(&[6]),
-            1,
-            "an event touching a queried node invalidates even with no extra deps"
-        );
+        let key = |i: usize| CacheKey::new(&[0], i as f64, false);
+        for i in 0..CAPACITY {
+            c.insert(key(i), vec![i as f32]);
+        }
+        assert_eq!((c.len(), c.invalidations()), (CAPACITY, 0));
+        c.insert(key(CAPACITY), vec![0.0]);
+        assert_eq!((c.len(), c.invalidations()), (1, CAPACITY as u64));
+        assert_eq!(c.lookup(&key(0)), None, "the full cache was dropped");
     }
 
     #[test]
     fn clear_all_drops_everything_and_counts() {
         let mut c = EmbedCache::new();
-        c.insert(CacheKey::new(&[1], 1.0, false), vec![1.0], &[2]);
-        c.insert(CacheKey::new(&[3], 1.0, false), vec![3.0], &[]);
+        c.insert(CacheKey::new(&[1], 1.0, false), vec![1.0]);
+        c.insert(CacheKey::new(&[3], 1.0, false), vec![3.0]);
         assert_eq!(c.clear_all(ClearCause::Reload), 2);
         assert!(c.is_empty());
         assert_eq!(c.invalidations(), 2);
@@ -309,7 +260,7 @@ mod tests {
     #[test]
     fn wholesale_clears_are_attributed_to_their_cause() {
         let mut c = EmbedCache::new();
-        c.insert(CacheKey::new(&[1], 1.0, false), vec![1.0], &[]);
+        c.insert(CacheKey::new(&[1], 1.0, false), vec![1.0]);
         c.clear_all(ClearCause::Reload);
         c.clear_all(ClearCause::Promotion);
         c.clear_all(ClearCause::Promotion);
@@ -321,20 +272,5 @@ mod tests {
         // Entry-count accounting is independent: only the first clear
         // actually dropped anything.
         assert_eq!(c.invalidations(), 1);
-    }
-
-    #[test]
-    fn reinsert_replaces_stale_dependencies() {
-        let mut c = EmbedCache::new();
-        let k = CacheKey::new(&[1], 1.0, false);
-        c.insert(k.clone(), vec![1.0], &[5]);
-        c.insert(k.clone(), vec![2.0], &[8]);
-        assert_eq!(c.len(), 1);
-        assert_eq!(
-            c.invalidate_nodes(&[5]),
-            0,
-            "the old dependency no longer pins the entry"
-        );
-        assert_eq!(c.invalidate_nodes(&[8]), 1);
     }
 }

@@ -102,9 +102,8 @@ struct EngineInner {
     wal: Option<Wal>,
     /// What the last [`Engine::open_wal`] recovered (for `STATUS`).
     recovery: Option<WalRecoveryReport>,
-    /// Temporal embedding cache (consulted only when
-    /// [`EngineConfig::cache`] is on, but invalidation always runs so the
-    /// flag can never leave stale entries behind).
+    /// Temporal embedding cache: filled only when [`EngineConfig::cache`]
+    /// is on, and emptied by every applied `EVENT` (see `cache.rs`).
     cache: EmbedCache,
     /// The encoder's pending messages, applied: built by the first forward
     /// pass after an ingest and consumed by the next [`apply_event`], so
@@ -347,10 +346,10 @@ impl Query {
 
 /// Appends one event to the graph and advances the encoder exactly as
 /// training would: apply the previously pending messages (or take the
-/// states a query already applied), commit them, and queue this event as
-/// the new pending batch. Live ingestion and WAL replay share this step, so
-/// recovered memory is bit-identical to an uninterrupted run's. Returns the
-/// event's index.
+/// states a query already applied), commit them, queue this event as the
+/// new pending batch, and empty the reply cache. Live ingestion and WAL
+/// replay share this step, so recovered memory is bit-identical to an
+/// uninterrupted run's. Returns the event's index.
 fn apply_event(
     inner: &mut EngineInner,
     src: NodeId,
@@ -362,6 +361,8 @@ fn apply_event(
     let event = *inner.graph.event(idx);
     let states = take_pending(inner);
     inner.encoder.commit_states(states, &[event]);
+    // Memory and neighbourhoods moved: no cached reply is valid any more.
+    inner.cache.invalidate();
     Ok(idx)
 }
 
@@ -610,16 +611,8 @@ impl Engine {
                 };
             }
         }
-        // The cache's touched set for this event: its endpoints (new
-        // pending state) plus the *previous* pending endpoints, whose
-        // applied updates the commit below persists into memory.
-        let mut touched = inner.encoder.pending_endpoints();
         let idx =
             apply_event(inner, src, dst, t, field).expect("validate_event mirrors push_event");
-        touched.extend(cpdg_graph::touched_nodes([*inner.graph.event(idx)].iter()));
-        touched.sort_unstable();
-        touched.dedup();
-        inner.cache.invalidate_nodes(&touched);
         self.count(Stat::Events);
         Reply::Ok {
             version: inner.epoch.version,
@@ -750,19 +743,6 @@ impl Engine {
         }
     }
 
-    /// The dependency set a cached reply for `nodes` at `t` must carry
-    /// beyond the nodes themselves: each node's recent temporal neighbours
-    /// (attention reads their states; see `cache.rs` for the invalidation
-    /// contract).
-    fn cache_deps(inner: &EngineInner, nodes: &[NodeId], t: Timestamp) -> Vec<NodeId> {
-        let n_neighbors = inner.epoch.cfg.n_neighbors;
-        nodes
-            .iter()
-            .flat_map(|&n| inner.graph.recent_neighbors(n, t, n_neighbors))
-            .map(|nb| nb.neighbor)
-            .collect()
-    }
-
     /// Executes a run of data-plane queries (`EMB`/`SCORE`), returning one
     /// reply per command in order.
     ///
@@ -845,8 +825,7 @@ impl Engine {
                 match forward {
                     Ok(values) if values.iter().all(|v| v.is_finite()) => {
                         if let Some(key) = key {
-                            let deps = Self::cache_deps(inner, &q.nodes, t);
-                            inner.cache.insert(key, values.clone(), &deps);
+                            inner.cache.insert(key, values.clone());
                         }
                         Ok(values)
                     }
@@ -1221,8 +1200,8 @@ mod tests {
 
     /// Under JODIE's time projection a reply at `(node, t)` reads the
     /// node's last update time, which moves when an *unrelated* event
-    /// commits the node's pending message: the cache must count the
-    /// previous pending endpoints as touched.
+    /// commits the node's pending message: a reply cached before that
+    /// event must not survive it.
     #[test]
     fn an_unrelated_event_committing_a_pending_message_invalidates_its_endpoints() {
         let model = model_with(DgnnConfig::preset(EncoderKind::Jodie, 8, 1.0), 7);
@@ -1248,8 +1227,16 @@ mod tests {
 
     #[test]
     fn cache_replays_bit_identically_and_events_invalidate_dependents() {
+        let dir = test_dir("cache-events");
         let model = tiny_model();
-        let cached = Engine::from_model(&model, cached_config(), FaultHook::none());
+        // The sixth WAL append (the first (4, 5, 6.0) below) fails.
+        let plan = FaultPlan::new(0).with(
+            FaultPoint::WalAppend,
+            FaultKind::Permanent,
+            Trigger::Nth { n: 6 },
+        );
+        let cached = Engine::from_model(&model, cached_config(), FaultHook::install(&plan));
+        cached.open_wal(&dir, WalConfig::default()).unwrap();
         let plain = Engine::from_model(&model, EngineConfig::default(), FaultHook::none());
         let events = [(0u32, 1u32, 1.0f64), (1, 2, 2.0), (2, 3, 3.0)];
         ingest_events(&cached, &events);
@@ -1278,42 +1265,76 @@ mod tests {
         ingest_events(&cached, &[(1, 4, 4.0)]);
         ingest_events(&plain, &[(1, 4, 4.0)]);
         let (_, _, invalidations) = cached.cache_counters();
-        assert!(invalidations >= 1, "EVENT 1 4 must drop the node-1 entry");
+        assert_eq!(invalidations, 1, "EVENT 1 4 must drop the node-1 entry");
         assert_eq!(cached.cache_len(), 0);
         assert_eq!(
             cached.execute(q.clone()),
-            plain.execute(q),
+            plain.execute(q.clone()),
             "post-invalidation recompute stays bit-identical"
         );
 
-        // Settle the pending (1,4) message with an unrelated event, then
-        // re-cache the node-1 reply. A further event touching only {4,5}
-        // (its endpoints AND the now-pending endpoints) must leave the
-        // node-1 entry alone: nodes 4 and 5 are outside its dependency
-        // set (node 1's recent neighbours at t=3.0 predate the 4.0 edge).
+        // Every applied event empties the cache.
         ingest_events(&cached, &[(4, 5, 5.0)]);
         ingest_events(&plain, &[(4, 5, 5.0)]);
-        let q3 = Command::Emb {
-            node: 1,
-            t: Some(3.0),
-        };
-        assert_eq!(cached.execute(q3.clone()), plain.execute(q3.clone()));
+        assert_eq!(cached.cache_len(), 0, "an applied EVENT empties the cache");
+        assert_eq!(cached.execute(q.clone()), plain.execute(q.clone()));
         assert_eq!(cached.cache_len(), 1);
+
+        // A refused event mutates nothing, so it drops nothing: neither an
+        // out-of-range one nor one whose WAL append fails.
+        let refused = [(4, 99, 6.0), (4, 5, 6.0)];
+        for (src, dst, t) in refused {
+            let reply = cached.execute(Command::Event {
+                src,
+                dst,
+                t,
+                field: 0,
+            });
+            assert!(matches!(reply, Reply::Err { .. }), "{reply:?}");
+            assert_eq!(cached.cache_len(), 1, "refused EVENT {src} {dst} {t}");
+        }
+        assert_eq!(cached.execute(q.clone()), plain.execute(q.clone()));
+        let (hits, _, _) = cached.cache_counters();
+        assert_eq!(hits, 2, "the entry survived both refusals");
+
+        // Applied, the same event empties the cache, although it and the
+        // pending message it commits touch only nodes 4 and 5, outside
+        // node 1's neighbourhood at t = 3.0.
         ingest_events(&cached, &[(4, 5, 6.0)]);
-        assert_eq!(
-            cached.cache_len(),
-            1,
-            "an event disjoint from the dependency set must not invalidate"
-        );
+        assert_eq!(cached.cache_len(), 0, "an applied EVENT empties the cache");
         let status = cached.execute(Command::Status).render();
         for field in [
             "cache=on",
-            "cache_hits=",
-            "cache_misses=",
-            "cache_entries=1",
+            "cache_hits=2",
+            "cache_misses=3",
+            "cache_invalidations=3",
+            "cache_entries=0",
         ] {
             assert!(status.contains(field), "missing {field} in {status}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A query-only flood of distinct explicit times would add one entry
+    /// per query without bound; the cache empties itself at its capacity.
+    #[test]
+    fn a_flood_of_distinct_times_never_holds_more_than_the_capacity() {
+        let engine = Engine::from_model(&tiny_model(), cached_config(), FaultHook::none());
+        ingest_events(&engine, &[(0, 1, 1.0)]);
+        let mut most = 0;
+        for i in 0..=crate::cache::CAPACITY {
+            let reply = engine.execute(Command::Emb {
+                node: 0,
+                t: Some(2.0 + i as f64),
+            });
+            assert!(matches!(reply, Reply::Ok { .. }), "{reply:?}");
+            most = most.max(engine.cache_len());
+        }
+        assert_eq!(most, crate::cache::CAPACITY);
+        assert_eq!(engine.cache_len(), 1, "the full cache was emptied");
+        let (_, misses, invalidations) = engine.cache_counters();
+        assert_eq!(misses, crate::cache::CAPACITY as u64 + 1);
+        assert_eq!(invalidations, crate::cache::CAPACITY as u64);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   [`ShedReason`](queue::ShedReason)); producers never block, drain
 //!   answers everything already admitted.
 //! * [`cache`] — the temporal embedding cache: replies keyed by query
-//!   signature with per-node dependency-set invalidation on `EVENT` and
-//!   wholesale invalidation on reload/recovery; cache-on replies are
-//!   bit-identical to cache-off replies.
+//!   signature, valid until the next applied `EVENT` (or reload,
+//!   promotion, recovery, flush); cache-on replies are bit-identical to
+//!   cache-off replies.
 //! * [`breaker`] — a consecutive-failure [`CircuitBreaker`] over
 //!   inference; while open, queries are served from the model's static
 //!   pre-training embeddings (`DEGRADED` replies) with deterministic

@@ -11,14 +11,15 @@
 //! The suite drives the invariance at three levels:
 //! * engine level — [`Engine::execute_query_batch`] against sequential
 //!   [`Engine::execute`] over the same scripts, with events interleaved
-//!   between rounds so per-node cache invalidation is on the hot path;
+//!   between repeated explicit-time rounds, so a cache entry surviving an
+//!   `EVENT` would be replayed stale;
 //! * property level — seeded random EVENT/QUERY/RELOAD interleavings
 //!   (including out-of-range ids), batched+cached vs sequential+uncached;
 //! * wire level — a real TCP server at `batch: 8` under concurrent
 //!   connections, every reply checked against a single-engine reference.
 //!
-//! The cache's *unit* semantics (key aliasing, dependency indexing,
-//! counter accounting) live in `crates/serve/src/cache.rs`; this suite
+//! The cache's *unit* semantics (key aliasing, capacity, counter
+//! accounting) live in `crates/serve/src/cache.rs`; this suite
 //! only pins what callers can observe end to end.
 
 mod support;
@@ -98,13 +99,14 @@ fn assert_batches_match(batched: &Engine, sequential: &Engine, lines: &[String],
 #[test]
 fn batched_cached_replies_are_bit_identical() {
     let model = trained_model(21);
-    // Fresh events between the query rounds invalidate exactly the
-    // touched dependency sets; a stale cache entry surviving them would
-    // break bit-identity.
+    // Fresh events between the query rounds empty the cache. The
+    // t = 10 round repeats after them: memory moved, so a cache entry
+    // surviving the events would replay stale bytes.
     let script = [
         events(0, 10),
         query_lines(10.0),
         events(10, 5),
+        query_lines(10.0),
         query_lines(15.0),
     ]
     .concat();
